@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .classify import SingularityClass, classify, normal_form
@@ -26,6 +25,7 @@ from .germdoc import (
     build_matrix,
     build_surface,
     parse_document,
+    parse_rationals,
     split_documents,
 )
 from .jets import JetDomainError, TruncationMismatch
@@ -321,7 +321,7 @@ def _cmd_surface(args) -> Tuple[int, Report]:
 
 def _cmd_veronese(args) -> Tuple[int, Report]:
     if args.entries:
-        entries = [Fraction(tok) for tok in args.entries.replace(",", " ").split()]
+        entries = parse_rationals(args.entries)
         if len(entries) != 6:
             raise GermDocumentError("need six entries a11 a12 a13 a22 a23 a33")
         matrix = SymMatrix3(*entries)

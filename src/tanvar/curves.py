@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from .jets import Jet1, JetDomainError
+from .linalg import RankTracker, eliminate
 
 
 class NotFiniteTypeError(ValueError):
@@ -106,32 +107,6 @@ class CurveGerm:
         return self.components[0].truncation
 
 
-class _RankTracker:
-    """Incremental rank of a growing family of rational vectors."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.pivots: List[Tuple[int, List[Fraction]]] = []  # (pivot index, reduced row)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, vector: Sequence[Fraction]) -> bool:
-        """Reduce the vector against current pivots; True if the rank grew."""
-        v = list(vector)
-        for idx, row in self.pivots:
-            if v[idx] != 0:
-                f = v[idx]
-                v = [a - f * b for a, b in zip(v, row)]
-        for idx, a in enumerate(v):
-            if a != 0:
-                inv = Fraction(1) / a
-                self.pivots.append((idx, [x * inv for x in v]))
-                return True
-        return False
-
-
 def _derivative_vectors(components: Sequence[Jet1], start: int):
     """Coefficient vectors (c_{1,k}, ..., c_{m,k}) for k = start..K.
 
@@ -145,7 +120,7 @@ def _derivative_vectors(components: Sequence[Jet1], start: int):
 
 def curve_type(germ: CurveGerm) -> Union[TypeSequence, NotFiniteTypeUpTo]:
     """Type of the germ from the rank filtration of its derivative vectors at 0."""
-    tracker = _RankTracker(germ.ambient_dim)
+    tracker = RankTracker()
     entries: List[int] = []
     for k, vec in _derivative_vectors(germ.components, 1):
         if tracker.add(vec):
@@ -165,7 +140,7 @@ def projective_type(lift: Sequence[Jet1]) -> Union[TypeSequence, NotFiniteTypeUp
     if all(v == 0 for v in values):
         raise JetDomainError("homogeneous lift vanishes at t = 0")
     m = len(lift)
-    tracker = _RankTracker(m)
+    tracker = RankTracker()
     tracker.add(values)
     entries: List[int] = []
     K = lift[0].truncation
@@ -218,30 +193,17 @@ def normalize(germ: CurveGerm):
         )
     m = germ.ambient_dim
     K = germ.truncation
-    rows = [list(c.coeffs) for c in germ.components]
-    mat = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    assigned: List[int] = []  # row index chosen for each a_i, in order
-    free = set(range(m))
-    for a in t.entries:
-        pick = None
-        for r in sorted(free):
-            if rows[r][a] != 0 and all(rows[r][b] == 0 for b in range(1, a)):
-                pick = r
-                break
-        assert pick is not None  # the rank filtration guarantees a pivot row
-        free.discard(pick)
-        inv = Fraction(1) / rows[pick][a]
-        rows[pick] = [x * inv for x in rows[pick]]
-        mat[pick] = [x * inv for x in mat[pick]]
-        for r in range(m):
-            if r != pick and rows[r][a] != 0:
-                f = rows[r][a]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pick])]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[pick])]
-        assigned.append(pick)
-    order = assigned
-    comps = tuple(Jet1(tuple(rows[r])) for r in order)
-    matrix = tuple(tuple(mat[r]) for r in order)
+    # each row carries its component's coefficients in columns 0..K and a row
+    # of the identity in columns K+1.., which records the row operations
+    rows = [
+        {**{k: c for k, c in enumerate(x.coeffs) if c}, K + 1 + i: Fraction(1)}
+        for i, x in enumerate(germ.components)
+    ]
+    order, pivots = eliminate(rows, t.entries)
+    assert len(pivots) == m  # the rank filtration guarantees a pivot row
+    zero = Fraction(0)
+    comps = tuple(Jet1(tuple(rows[r].get(k, zero) for k in range(K + 1))) for r in order)
+    matrix = tuple(tuple(rows[r].get(K + 1 + j, zero) for j in range(m)) for r in order)
     return CurveGerm(comps), matrix
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curves import CurveGerm
-from .jets import Jet1, Jet2
+from .jets import MAX_TRUNCATION_1, MAX_TRUNCATION_2, Jet1, Jet2
 from .surfaces import SymMatrix3
 
 TermList = List[Tuple[Tuple[int, ...], Fraction]]
@@ -26,6 +26,7 @@ class GermDocumentError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(-?\d+/\d+|-?\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 def _tokenize(text: str) -> List[str]:
@@ -65,7 +66,7 @@ def parse_terms(text: str, variables: Sequence[str]) -> TermList:
             if tok == "*":
                 j += 1
                 continue
-            if re.fullmatch(r"-?\d+(/\d+)?", tok):
+            if _RATIONAL.fullmatch(tok):
                 coeff *= Fraction(tok)
                 saw_factor = True
                 j += 1
@@ -104,6 +105,19 @@ def parse_terms(text: str, variables: Sequence[str]) -> TermList:
     if first:
         raise GermDocumentError("expression has no terms")
     return terms
+
+
+def parse_rationals(text: str) -> List[Fraction]:
+    """Rationals separated by blanks or commas, each ``-?digits(/digits)?``."""
+    out = []
+    for tok in text.replace(",", " ").split():
+        if not _RATIONAL.fullmatch(tok):
+            raise GermDocumentError(f"bad matrix entries: {tok!r} is not a rational p/q")
+        try:
+            out.append(Fraction(tok))
+        except ZeroDivisionError:
+            raise GermDocumentError(f"bad matrix entries: {tok!r} has a zero denominator")
+    return out
 
 
 @dataclass
@@ -159,10 +173,7 @@ def parse_document(text: str) -> GermDocument:
         elif key in ("x3", "x4"):
             doc.named[key] = parse_terms(value, doc.variables)
         elif key == "entries":
-            try:
-                doc.entries = [Fraction(tok) for tok in value.replace(",", " ").split()]
-            except (ValueError, ZeroDivisionError) as exc:
-                raise GermDocumentError(f"bad matrix entries: {exc}")
+            doc.entries = parse_rationals(value)
         else:
             raise GermDocumentError(f"unknown field {key!r}")
     return doc
@@ -187,6 +198,8 @@ def build_curve(doc: GermDocument) -> CurveGerm:
         raise GermDocumentError("curve documents need a truncation")
     if doc.truncation < 1:
         raise GermDocumentError("truncation must be >= 1")
+    if doc.truncation > MAX_TRUNCATION_1:
+        raise GermDocumentError(f"curve truncation exceeds {MAX_TRUNCATION_1}")
     if not doc.components:
         raise GermDocumentError("curve documents need component lines")
     if len(doc.variables) != 1:
@@ -227,6 +240,11 @@ def build_surface(doc: GermDocument) -> Tuple[Jet2, Jet2]:
                 raise GermDocumentError(
                     f"{key}: total degree {exps[0] + exps[1]} exceeds truncation"
                 )
+        if doc.truncation > MAX_TRUNCATION_2:
+            # the message Jet2 itself gives, raised before its table is allocated
+            raise GermDocumentError(
+                f"two-variable jets support total degree <= {MAX_TRUNCATION_2}"
+            )
         out.append(
             Jet2.from_terms(((e[0], e[1], c) for e, c in terms), doc.truncation)
         )

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
+from . import linalg
+
 Scalar = Union[int, Fraction]
+
+#: largest truncation order a curve document may ask for
+MAX_TRUNCATION_1 = 256
 
 #: largest supported truncation order for two-variable jets
 MAX_TRUNCATION_2 = 24
@@ -624,38 +629,13 @@ class Jet2:
 
 
 def _solve_exact(rows, nunk):
-    """Gaussian elimination over Q on an augmented matrix; None if inconsistent.
+    """Solve an augmented matrix given as dense rows over Q; None if inconsistent.
 
     Unique solutions are assumed by the callers that require them; free
     variables (if any) are set to zero.
     """
-    m = len(rows)
-    piv_rows = []
-    r = 0
-    for c in range(nunk):
-        piv = None
-        for rr in range(r, m):
-            if rows[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for rr in range(m):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        piv_rows.append((r, c))
-        r += 1
-    for rr in range(m):
-        if all(rows[rr][c] == 0 for c in range(nunk)) and rows[rr][nunk] != 0:
-            return None
-    sol = [Fraction(0)] * nunk
-    for r, c in piv_rows:
-        sol[c] = rows[r][nunk]
-    return sol
+    sol = linalg.solve([{c: x for c, x in enumerate(row) if x} for row in rows], nunk)
+    return None if isinstance(sol, linalg.Inconsistent) else sol
 
 
 def _render_power(var: str, k: int) -> str:

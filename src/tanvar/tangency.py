@@ -19,9 +19,9 @@ and returned with an explicit multiplier certificate either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
+from . import linalg
 from .curves import CurveGerm, NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
 from .jets import Jet1, Jet2, JetDomainError
 from .polys import Poly, UPoly, solve_ratfun_system
@@ -201,6 +201,13 @@ def jacobi_membership(
     Solves the exact linear system on the multiplier coefficients; among the
     solutions the minimal-degree one is returned (free coefficients zero).
     An inconsistent system yields the offending coefficient equation.
+
+    Pivot rule: unknowns are ordered by total degree, then multiplier index,
+    then monomial, and equations start in the order (1-form component,
+    monomial).  Each unknown in turn takes as pivot the first equation at or
+    below the current rank that involves it (see :mod:`tanvar.linalg`).
+    Witnesses and multipliers are therefore exactly those of a dense
+    Gauss-Jordan solve with the same rule.
     """
     E = min([order, h.truncation - 1] + [gj.truncation - 1 for gj in g])
     if E < 0:
@@ -213,64 +220,36 @@ def jacobi_membership(
     # leave the minimal-degree solution
     unknowns.sort(key=lambda u: (u[1][0] + u[1][1], u[0], u[1]))
     col_of = {u: c for c, u in enumerate(unknowns)}
-    rows = []
-    labels = []
-    for var in (0, 1):
-        for alpha in monomials:
-            row = [Fraction(0)] * (len(unknowns) + 1)
-            row[-1] = dhs[var].coefficient(*alpha)
-            for j in range(len(g)):
-                dg = dgs[j][var]
-                for beta in monomials:
-                    bi, bj = alpha[0] - beta[0], alpha[1] - beta[1]
-                    if bi >= 0 and bj >= 0:
-                        c = dg.coefficient(bi, bj)
-                        if c != 0:
-                            row[col_of[(j, beta)]] = c
-            rows.append(row)
-            labels.append((var, alpha))
     n = len(unknowns)
-    r = 0
-    piv_cols = []
-    for c in range(n):
-        piv = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        labels[r], labels[piv] = labels[piv], labels[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        piv_cols.append((r, c))
-        r += 1
-    for rr in range(len(rows)):
-        if rows[rr][n] != 0 and all(rows[rr][c] == 0 for c in range(n)):
-            var, alpha = labels[rr]
-            return Refuted(
-                var,
-                alpha,
-                f"coefficient equation at 1-form component {var}, "
-                f"monomial {alpha} reduces to 0 = {rows[rr][n]}",
-            )
-    sol = [Fraction(0)] * n
-    for r, c in piv_cols:
-        sol[c] = rows[r][n]
-    multipliers = []
-    for j in range(len(g)):
-        terms = []
-        for beta in monomials:
-            v = sol[col_of[(j, beta)]]
-            if v != 0:
-                terms.append((beta[0], beta[1], v))
-        multipliers.append(Jet2.from_terms(terms, E))
-    return OpeningCertificate(tuple(multipliers), E)
+    labels = [(var, alpha) for var in (0, 1) for alpha in monomials]
+    row_of = {label: r for r, label in enumerate(labels)}
+    rows = [{} for _ in labels]
+    for var in (0, 1):
+        for bi, bj, c in dhs[var].terms():
+            rows[row_of[(var, (bi, bj))]][n] = c
+        for j, dg in enumerate(dgs):
+            for bi, bj, c in dg[var].terms():
+                for beta in monomials:
+                    alpha = (bi + beta[0], bj + beta[1])
+                    if alpha[0] + alpha[1] > E:
+                        break
+                    rows[row_of[(var, alpha)]][col_of[(j, beta)]] = c
+    sol = linalg.solve(rows, n)
+    if isinstance(sol, linalg.Inconsistent):
+        var, alpha = labels[sol.row]
+        return Refuted(
+            var,
+            alpha,
+            f"coefficient equation at 1-form component {var}, "
+            f"monomial {alpha} reduces to 0 = {sol.value}",
+        )
+    multipliers = tuple(
+        Jet2.from_terms(
+            ((beta[0], beta[1], sol[col_of[(j, beta)]]) for beta in monomials), E
+        )
+        for j in range(len(g))
+    )
+    return OpeningCertificate(multipliers, E)
 
 
 def verify_certificate(g: Sequence[Jet2], h: Jet2, cert: OpeningCertificate) -> bool:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tanvar.cli import run
 from tanvar.mesh import parse_obj
 
@@ -120,6 +122,15 @@ def test_veronese_entries_flag():
     assert "in Sec(S) \\ Tan(S)" in out
     code, out = run(["veronese", "--entries", "1 0 0 -1 0 0"])
     assert "in Tan(S)" in out
+
+
+@pytest.mark.parametrize("token", ["0.5", "1e3", "1_000"])
+def test_veronese_rejects_non_rational_entries(tmp_path, token):
+    entries = f"1 0 0 {token} 0 0"
+    code, out = run(["veronese", "--entries", entries])
+    assert (code, out) == (2, f"error: bad matrix entries: '{token}' is not a rational p/q\n")
+    doc = write(tmp_path, "m.germ", f"kind: matrix\nentries: {entries}\n")
+    assert run(["veronese", doc]) == (code, out)
 
 
 def test_opening_report(tmp_path):

@@ -11,7 +11,7 @@ from tanvar.germdoc import (
     parse_terms,
     split_documents,
 )
-from tanvar.jets import Jet1, Jet2
+from tanvar.jets import MAX_TRUNCATION_1, Jet1, Jet2
 
 
 def test_parse_terms_plain():
@@ -91,6 +91,20 @@ def test_matrix_document():
     doc = parse_document("kind: matrix\nentries: 1 0 0 -1 0 0\n")
     m = build_matrix(doc)
     assert m.a11 == 1 and m.a22 == -1
+
+
+@pytest.mark.parametrize("token", ["0.5", "1e3", "1_000", "1/0", "x"])
+def test_matrix_entries_are_strict_rationals(token):
+    with pytest.raises(GermDocumentError):
+        parse_document(f"kind: matrix\nentries: 1 0 0 {token} 0 0\n")
+
+
+def test_curve_truncation_bound():
+    doc = parse_document(f"kind: curve\ntruncation: {MAX_TRUNCATION_1}\ncomponent: t\n")
+    assert build_curve(doc).truncation == MAX_TRUNCATION_1
+    doc = parse_document("kind: curve\ntruncation: 99999999\ncomponent: t\n")
+    with pytest.raises(GermDocumentError):
+        build_curve(doc)
 
 
 def test_missing_kind():

@@ -146,6 +146,9 @@ def test_membership_refuted_with_witness():
     assert isinstance(verdict, Refuted)
     assert verdict.var == 1
     assert verdict.monomial == (0, 0)
+    assert verdict.detail == (
+        "coefficient equation at 1-form component 1, monomial (0, 0) reduces to 0 = 1"
+    )
 
 
 def test_membership_tautological():
@@ -170,6 +173,17 @@ def test_membership_certificates_reverify(rng):
         cert = jacobi_membership((g1, g2), h, 6)
         assert isinstance(cert, OpeningCertificate)
         assert verify_certificate((g1, g2), h, cert)
+
+
+def test_membership_order_12_on_tangent_map(rng):
+    # df3 and df4 of a frontal tangent map lie in the module of (df1, df2)
+    tm = tangent_map(random_germ_of_type(rng, (1, 3, 4, 6), 13))
+    g = (tm.components[0], tm.components[1])
+    for h in tm.components[2:]:
+        cert = jacobi_membership(g, h, 12)
+        assert isinstance(cert, OpeningCertificate)
+        assert cert.verified_order == 12
+        assert verify_certificate(g, h, cert)
 
 
 def test_opening_check_cuspidal_edge():
