@@ -29,6 +29,14 @@ _TOKEN = re.compile(r"\s*(-?\d+/\d+|-?\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
 _RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
+def _rational(tok: str, what: str) -> Fraction:
+    """The value of a token that matches ``_RATIONAL``; ``what`` opens the error."""
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise GermDocumentError(f"{what}: {tok!r} has a zero denominator") from None
+
+
 def _tokenize(text: str) -> List[str]:
     out = []
     pos = 0
@@ -67,7 +75,7 @@ def parse_terms(text: str, variables: Sequence[str]) -> TermList:
                 j += 1
                 continue
             if _RATIONAL.fullmatch(tok):
-                coeff *= Fraction(tok)
+                coeff *= _rational(tok, "bad coefficient")
                 saw_factor = True
                 j += 1
                 continue
@@ -113,10 +121,7 @@ def parse_rationals(text: str) -> List[Fraction]:
     for tok in text.replace(",", " ").split():
         if not _RATIONAL.fullmatch(tok):
             raise GermDocumentError(f"bad matrix entries: {tok!r} is not a rational p/q")
-        try:
-            out.append(Fraction(tok))
-        except ZeroDivisionError:
-            raise GermDocumentError(f"bad matrix entries: {tok!r} has a zero denominator")
+        out.append(_rational(tok, "bad matrix entries"))
     return out
 
 

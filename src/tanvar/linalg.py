@@ -46,13 +46,10 @@ def _normalise(row: Row, col: int) -> None:
         row[c] = v * inv
 
 
-def eliminate(rows: Sequence[Row], columns: Iterable[int]) -> Tuple[List[int], List[int]]:
-    """Gauss-Jordan elimination of ``rows`` in place, over the given columns.
+def _forward(rows: Sequence[Row], columns: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """Forward pass of :func:`eliminate`: pivots normalised and cleared downward.
 
-    Returns ``(order, pivots)``: ``order`` lists the row indices in their
-    final positions, and the row at position ``k < len(pivots)`` has a 1 in
-    column ``pivots[k]``, where every other row has a 0.  Rows at positions
-    ``>= len(pivots)`` are zero in every listed column.
+    Rows at positions ``>= len(pivots)`` are already final here.
     """
     order = list(range(len(rows)))
     pivots: List[int] = []
@@ -69,12 +66,29 @@ def eliminate(rows: Sequence[Row], columns: Iterable[int]) -> Tuple[List[int], L
         for k in range(r + 1, len(order)):
             _clear(rows[order[k]], prow, col)
         pivots.append(col)
+    return order, pivots
+
+
+def _backward(rows: Sequence[Row], order: List[int], pivots: List[int]) -> None:
+    """Clear each pivot column upward; touches only the pivot rows."""
     # clearing the pivot columns upward only after the forward pass is
     # cheaper than clearing them at once, and gives the same reduced rows
     for r in reversed(range(len(pivots))):
         prow, col = rows[order[r]], pivots[r]
         for k in range(r):
             _clear(rows[order[k]], prow, col)
+
+
+def eliminate(rows: Sequence[Row], columns: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """Gauss-Jordan elimination of ``rows`` in place, over the given columns.
+
+    Returns ``(order, pivots)``: ``order`` lists the row indices in their
+    final positions, and the row at position ``k < len(pivots)`` has a 1 in
+    column ``pivots[k]``, where every other row has a 0.  Rows at positions
+    ``>= len(pivots)`` are zero in every listed column.
+    """
+    order, pivots = _forward(rows, columns)
+    _backward(rows, order, pivots)
     return order, pivots
 
 
@@ -92,12 +106,15 @@ def solve(rows: Sequence[Row], n: int) -> Union[List[Fraction], Inconsistent]:
     Returns the solution with every free unknown set to zero, or the first
     inconsistent row.  Unknowns are pivoted in index order, so a caller that
     numbers its unknowns by preference gets the preferred ones as pivots and
-    the others as zeros.
+    the others as zeros.  An inconsistent system is found after the forward
+    pass and left without the upward pass, which would not change its
+    witness: that pass touches only the rows above the rank.
     """
-    order, pivots = eliminate(rows, range(n))
+    order, pivots = _forward(rows, range(n))
     for i in order[len(pivots):]:
         if n in rows[i]:
             return Inconsistent(i, rows[i][n])
+    _backward(rows, order, pivots)
     sol = [Fraction(0)] * n
     for i, col in zip(order, pivots):
         sol[col] = rows[i].get(n, Fraction(0))

@@ -1,16 +1,20 @@
-"""Exact polynomial helpers: sparse multivariate and dense univariate.
+"""Exact sparse multivariate polynomials over Q, and the generating-family solve.
 
 Unlike the jets, these are honest polynomials (finitely many terms, no
-truncation).  They back the symbolic constructions that need exact division
-or unbounded degree: ramification-module generator tables and the
-generating-family elimination.
+truncation).  They back the symbolic constructions of unbounded degree: the
+Morin ramification-module generator tables and the generating families with
+their eliminated parametrizations.  The family's envelope system reduces to
+one constant square system over Q, solved here through :mod:`tanvar.linalg`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from . import linalg
+from .jets import _render_terms
 
 Scalar = Union[int, Fraction]
 
@@ -35,20 +39,6 @@ class Poly:
     @staticmethod
     def zero(variables: Sequence[str]) -> "Poly":
         return Poly(tuple(variables), ())
-
-    @staticmethod
-    def constant(value: Scalar, variables: Sequence[str]) -> "Poly":
-        v = _frac(value)
-        if v == 0:
-            return Poly.zero(variables)
-        return Poly(tuple(variables), (((0,) * len(variables), v),))
-
-    @staticmethod
-    def variable(name: str, variables: Sequence[str]) -> "Poly":
-        idx = list(variables).index(name)
-        e = [0] * len(variables)
-        e[idx] = 1
-        return Poly(tuple(variables), ((tuple(e), Fraction(1)),))
 
     @staticmethod
     def monomial(coeff: Scalar, exponents: Sequence[int], variables: Sequence[str]) -> "Poly":
@@ -128,238 +118,31 @@ class Poly:
         return Fraction(0)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            mono = "*".join(
-                (v if k == 1 else f"{v}^{k}")
-                for v, k in zip(self.variables, e)
-                if k > 0
-            )
-            if mono:
-                if c == 1:
-                    body = mono
-                elif c == -1:
-                    body = f"-{mono}"
-                else:
-                    body = f"{c}*{mono}"
-            else:
-                body = str(c)
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+        return _render_terms(
+            (c, tuple(zip(self.variables, e))) for e, c in self.terms
+        )
 
     def __str__(self):
         return self.render()
 
 
-# --------------------------------------------------------------------------
-# dense univariate polynomials over Q (for elimination over Q(t))
-# --------------------------------------------------------------------------
+def solve_ratfun_system(
+    matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Sequence[Scalar]]
+) -> Optional[List[List[Fraction]]]:
+    """Solve ``matrix * x = b`` over Q for every right-hand side ``b`` in ``rhs``.
 
-
-@dataclass(frozen=True)
-class UPoly:
-    """Dense univariate polynomial over Q; coeffs[k] multiplies t^k."""
-
-    coeffs: Tuple[Fraction, ...]
-
-    @staticmethod
-    def make(coeffs: Iterable[Scalar]) -> "UPoly":
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return UPoly(tuple(cs))
-
-    @staticmethod
-    def zero() -> "UPoly":
-        return UPoly(())
-
-    @staticmethod
-    def constant(value: Scalar) -> "UPoly":
-        return UPoly.make([value])
-
-    @staticmethod
-    def monomial(coeff: Scalar, power: int) -> "UPoly":
-        return UPoly.make([0] * power + [coeff])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial mapped to -1."""
-        return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        if isinstance(other, UPoly):
-            n = max(len(self.coeffs), len(other.coeffs))
-            out = [Fraction(0)] * n
-            for k, c in enumerate(self.coeffs):
-                out[k] += c
-            for k, c in enumerate(other.coeffs):
-                out[k] += c
-            return UPoly.make(out)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, UPoly):
-            return self + (-other)
-        return NotImplemented
-
-    def __neg__(self):
-        return UPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, UPoly):
-            if self.is_zero or other.is_zero:
-                return UPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b != 0:
-                        out[i + j] += a * b
-            return UPoly.make(out)
-        if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return UPoly.make([c * f for c in self.coeffs])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def divmod(self, other: "UPoly") -> Tuple["UPoly", "UPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        qdeg = len(rem) - len(other.coeffs)
-        if qdeg < 0:
-            return UPoly.zero(), self
-        q = [Fraction(0)] * (qdeg + 1)
-        lead = other.coeffs[-1]
-        for k in range(qdeg, -1, -1):
-            top = rem[k + other.degree]
-            if top == 0:
-                continue
-            f = top / lead
-            q[k] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= f * b
-        return UPoly.make(q), UPoly.make(rem)
-
-    def gcd(self, other: "UPoly") -> "UPoly":
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero:
-            return a
-        return a * (Fraction(1) / a.coeffs[-1])  # monic
-
-    def render(self, var: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = var if k == 1 else f"{var}^{k}"
-                parts.append(mono if c == 1 else (f"-{mono}" if c == -1 else f"{c}*{mono}"))
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
-
-
-@dataclass(frozen=True)
-class RatFun:
-    """Reduced fraction of univariate polynomials (denominator monic)."""
-
-    num: UPoly
-    den: UPoly
-
-    @staticmethod
-    def make(num: UPoly, den: UPoly) -> "RatFun":
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            return RatFun(UPoly.zero(), UPoly.constant(1))
-        g = num.gcd(den)
-        if g.degree >= 1:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lead = den.coeffs[-1]
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num, den = num * inv, den * inv
-        return RatFun(num, den)
-
-    @staticmethod
-    def from_poly(p: UPoly) -> "RatFun":
-        return RatFun.make(p, UPoly.constant(1))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other):
-        return RatFun.make(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFun.make(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __mul__(self, other):
-        return RatFun.make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun.make(self.num * other.den, self.den * other.num)
-
-    def as_polynomial(self):
-        """The underlying polynomial when the reduced denominator is constant, else None."""
-        if self.den.degree == 0:
-            return self.num * (Fraction(1) / self.den.coeffs[0])
-        return None
-
-
-def solve_ratfun_system(matrix, rhs):
-    """Solve matrix * x = rhs over the field Q(t); None if the matrix is singular.
-
-    ``matrix`` is a square list of lists of UPoly, ``rhs`` a list of UPoly.
+    ``matrix`` is square, given as rows.  Returns one solution per
+    right-hand side, from a single elimination, or None when the matrix is
+    singular.  :func:`tanvar.tangency.generating_family_tangent` is the
+    caller; the benchmark's tracer (``perfbench/tracing.py``) binds this
+    name, so it stays.
     """
     n = len(matrix)
-    aug = [
-        [RatFun.from_poly(matrix[r][c]) for c in range(n)] + [RatFun.from_poly(rhs[r])]
+    rows = [
+        {c: _frac(x) for c, x in enumerate([*matrix[r], *(b[r] for b in rhs)]) if x}
         for r in range(n)
     ]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    order, pivots = linalg.eliminate(rows, range(n))
+    if len(pivots) < n:
+        return None
+    return [[rows[i].get(n + k, Fraction(0)) for i in order] for k in range(len(rhs))]

@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple, Union
 from . import linalg
 from .curves import CurveGerm, NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
 from .jets import Jet1, Jet2, JetDomainError
-from .polys import Poly, UPoly, solve_ratfun_system
+from .polys import Poly, solve_ratfun_system
 
 # variable layout for tangent-map jets: index 0 is the line parameter s,
 # index 1 is the curve parameter t
@@ -332,7 +332,6 @@ def morin_versal_opening(k: int, m: int) -> MorinOpening:
     lam = [f"l{j}" for j in range(1, k)]
     mu = [[f"m{i}_{j}" for j in range(1, k + 1)] for i in range(1, m + 1)]
     variables = tuple(["t"] + lam + [name for row in mu for name in row])
-    t = Poly.variable("t", variables)
     f = Poly.monomial(1, [k + 1 if v == "t" else 0 for v in variables], variables)
     for j, name in enumerate(lam, start=1):
         e = [0] * len(variables)
@@ -411,54 +410,39 @@ def generating_family_tangent(A: TypeSequence) -> GeneratingFamilySolution:
 
     The family is F(t, x) = t^{a_m} + x_1 t^{a_m - a_1} + ... + x_{m-1} t^{a_m - a_{m-1}}
     + x_m; the parametrization solves F and its first N-1 t-derivatives for
-    x_2..x_m with x_1 free, then clears the common power of t.
+    x_2..x_m with x_1 free.
+
+    Write top = a_m and e_j for the t-exponent of x_{j+1}, so e_0 = top - a_1
+    exceeds every other e_j.  Row d of the system (the d-th t-derivative) is
+
+        sum_j falling(e_j, d) t^(e_j - d) x_{j+1}
+            = -falling(top, d) t^(top - d) - falling(e_0, d) t^(e_0 - d) x_1.
+
+    The substitution x_{j+1} = c_j t^(top - e_j) + l_j x_1 t^(e_0 - e_j) turns
+    row d into t^(top - d) and t^(e_0 - d) times one constant system
+    M[d][j] = falling(e_j, d), with right-hand sides -falling(top, d) and
+    -falling(e_0, d).  M is invertible: falling(e, d) is a monic polynomial
+    of degree d in e, so M is a unitriangular matrix times the Vandermonde
+    matrix of the distinct e_j.  The system over Q(t) is M with its rows
+    and columns scaled by powers of t, so its unique solution is this one,
+    and each x_{j+1} is a polynomial of two monomials in (t, x_1).
     """
     pattern = _match_pattern(A)
     entries = A.entries
     N = len(entries) - 1
     top = entries[-1]
     exps = [top - entries[j] for j in range(N)] + [0]  # exponents of x_1..x_{N+1}
-    # linear system D * x = -(const + x1 * lin), unknowns x_2..x_{N+1}
-    D = [
-        [
-            UPoly.monomial(_falling(exps[j], d), exps[j] - d)
-            if exps[j] >= d
-            else UPoly.zero()
-            for j in range(1, N + 1)
-        ]
-        for d in range(N)
-    ]
-    const = [
-        -1 * UPoly.monomial(_falling(top, d), top - d) for d in range(N)
-    ]
-    lin = [
-        -1
-        * (
-            UPoly.monomial(_falling(exps[0], d), exps[0] - d)
-            if exps[0] >= d
-            else UPoly.zero()
-        )
-        for d in range(N)
-    ]
-    sol_const = solve_ratfun_system(D, const)
-    sol_lin = solve_ratfun_system(D, lin)
-    if sol_const is None or sol_lin is None:
+    M = [[_falling(e, d) for e in exps[1:]] for d in range(N)]
+    const = [-_falling(top, d) for d in range(N)]
+    lin = [-_falling(exps[0], d) for d in range(N)]
+    sol = solve_ratfun_system(M, [const, lin])
+    if sol is None:
         raise GeneratingFamilyError("singular elimination system")
-    solved: List[Poly] = []
     out_vars = ("t", "x1")
-    for rc, rl in zip(sol_const, sol_lin):
-        pc = rc.as_polynomial()
-        pl = rl.as_polynomial()
-        if pc is None or pl is None:
-            raise GeneratingFamilyError(
-                "solution is not polynomial after clearing the t-divisor"
-            )
-        terms = [((kk, 0), c) for kk, c in enumerate(pc.coeffs) if c != 0]
-        terms += [((kk, 1), c) for kk, c in enumerate(pl.coeffs) if c != 0]
-        acc = Poly.zero(out_vars)
-        for e, c in terms:
-            acc = acc + Poly.monomial(c, e, out_vars)
-        solved.append(acc)
+    solved = tuple(
+        Poly._normal(out_vars, {(top - e, 0): c, (exps[0] - e, 1): l})
+        for e, c, l in zip(exps[1:], *sol)
+    )
     fam_vars = tuple(["t"] + [f"x{j}" for j in range(1, N + 2)])
     family = Poly.monomial(1, [top] + [0] * (N + 1), fam_vars)
     for j in range(1, N + 2):
@@ -466,4 +450,4 @@ def generating_family_tangent(A: TypeSequence) -> GeneratingFamilySolution:
         e[0] = exps[j - 1]
         e[j] = 1
         family = family + Poly.monomial(1, e, fam_vars)
-    return GeneratingFamilySolution(A, pattern, family, tuple(solved))
+    return GeneratingFamilySolution(A, pattern, family, solved)

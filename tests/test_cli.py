@@ -133,6 +133,12 @@ def test_veronese_rejects_non_rational_entries(tmp_path, token):
     assert run(["veronese", doc]) == (code, out)
 
 
+def test_zero_denominator_coefficient_is_reported(tmp_path):
+    doc = write(tmp_path, "z.germ", "kind: curve\ntruncation: 4\ncomponent: 1/0 t\n")
+    code, out = run(["type", doc])
+    assert (code, out) == (2, "error: bad coefficient: '1/0' has a zero denominator\n")
+
+
 def test_opening_report(tmp_path):
     code, out = run(["opening", write(tmp_path, "c.germ", CUSP)])
     assert code == 0

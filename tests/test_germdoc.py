@@ -99,6 +99,13 @@ def test_matrix_entries_are_strict_rationals(token):
         parse_document(f"kind: matrix\nentries: 1 0 0 {token} 0 0\n")
 
 
+def test_zero_denominator_names_the_token():
+    with pytest.raises(GermDocumentError, match=r"bad coefficient: '1/0' has a zero denominator"):
+        parse_terms("1/0 t", ("t",))
+    with pytest.raises(GermDocumentError, match=r"bad matrix entries: '-2/0' has a zero denominator"):
+        parse_document("kind: matrix\nentries: 1 0 0 -2/0 0 0\n")
+
+
 def test_curve_truncation_bound():
     doc = parse_document(f"kind: curve\ntruncation: {MAX_TRUNCATION_1}\ncomponent: t\n")
     assert build_curve(doc).truncation == MAX_TRUNCATION_1

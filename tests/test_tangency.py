@@ -307,34 +307,71 @@ def test_family_pattern_names():
     assert generating_family_tangent(TypeSequence.of(3, 4, 5)).pattern == "III(N=2)"
 
 
-def test_family_envelope_equations_hold():
-    # plugging the solved components back into the family kills it and its
-    # first t-derivatives
+def test_square_solve_over_q():
+    from tanvar.polys import solve_ratfun_system
+
+    # the first column needs a row exchange; both right-hand sides come back
+    assert solve_ratfun_system([[0, 2], [1, 1]], [[2, 3], [0, 1]]) == [[2, 1], [1, 0]]
+    assert solve_ratfun_system([[1, 2], [2, 4]], [[1, 2]]) is None
+
+
+def family_types(max_N, max_r=3):
+    """Pattern I (r <= max_r), II and III type sequences with N <= max_N."""
+    for N in range(1, max_N + 1):
+        for r in range(1, max_r + 1):
+            yield tuple(range(1, N + 1)) + (N + r,)
+        for i in range(N):
+            yield tuple(range(1, i + 1)) + tuple(range(i + 2, N + 3))
+        yield tuple(range(3, N + 4))
+
+
+def substitute_solved(p, sol):
+    """A polynomial in (t, x1, ..., x_{N+1}) with x_j (j >= 2) replaced by
+    ``sol.solved``, as a polynomial in (t, x1)."""
     from tanvar.polys import Poly
 
-    for entries in [(1, 2, 3), (1, 2, 4, 5), (2, 3, 4, 5), (3, 4, 5)]:
-        A = TypeSequence.of(*entries)
-        sol = generating_family_tangent(A)
+    out_vars = ("t", "x1")
+    acc = Poly.zero(out_vars)
+    for exps, coeff in p.terms:
+        term = Poly.monomial(coeff, exps[:2], out_vars)
+        for j, e in enumerate(exps[2:]):
+            for _ in range(e):
+                term = term * sol.solved[j]
+        acc = acc + term
+    return acc
+
+
+def test_family_envelope_equations_hold():
+    for entries in family_types(6):
+        sol = generating_family_tangent(TypeSequence.of(*entries))
         N = len(entries) - 1
-        fam_vars = sol.family.variables
-        # substitute x_j (j >= 2) by the solved polynomials inside Q[t, x1]
-        out_vars = ("t", "x1")
-
-        def embed(p):
-            acc = Poly.zero(out_vars)
-            for exps, coeff in p.terms:
-                t_exp = exps[0]
-                x_exps = exps[1:]
-                term = Poly.monomial(coeff, (t_exp, x_exps[0]), out_vars)
-                for j, e in enumerate(x_exps[1:], start=2):
-                    if e:
-                        sub = sol.solved[j - 2]
-                        for _ in range(e):
-                            term = term * sub
-                acc = acc + term
-            return acc
-
-        F_sub = embed(sol.family)
+        # plugging the solved components back into the family kills it, and
+        # so its t-derivatives along the parametrization
+        F_sub = substitute_solved(sol.family, sol)
         for d in range(N):
             assert F_sub.is_zero, (entries, d)
             F_sub = F_sub.derivative("t")
+        # the envelope equations themselves: each t-derivative of the family
+        # with x held fixed vanishes on the parametrization
+        F_d = sol.family
+        for d in range(N):
+            assert substitute_solved(F_d, sol).is_zero, (entries, d)
+            F_d = F_d.derivative("t")
+
+
+def test_family_matches_sympy_solve_over_q_of_t():
+    sympy = pytest.importorskip("sympy")
+    for entries in family_types(5):
+        sol = generating_family_tangent(TypeSequence.of(*entries))
+        N = len(entries) - 1
+        t, *x = sympy.symbols(f"t x1:{N + 2}")
+        top = entries[-1]
+        family = t**top + sum(x[j] * t ** (top - entries[j]) for j in range(N)) + x[N]
+        equations = [sympy.diff(family, t, d) for d in range(N)]
+        (want,) = sympy.linsolve(equations, x[1:])
+        for w, p in zip(want, sol.solved):
+            got = sum(
+                sympy.Rational(c.numerator, c.denominator) * t**a * x[0] ** b
+                for (a, b), c in p.terms
+            )
+            assert sympy.cancel(w - got) == 0, (entries, w, p)
