@@ -8,20 +8,8 @@ which is recorded in the OBJ provenance comment.
 import argparse
 import os
 
-from tanvar.classify import SingularityClass, normal_form
+from tanvar.classify import SINGULARITY_SLUGS, normal_form, normal_form_type
 from tanvar.mesh import sample_map, write_obj
-
-EXPORTS = [
-    ("cuspidal-edge", SingularityClass.CUSPIDAL_EDGE, 3, (1, 2, 3)),
-    ("folded-umbrella", SingularityClass.FOLDED_UMBRELLA, 3, (1, 2, 3)),
-    ("swallowtail", SingularityClass.SWALLOWTAIL, 3, (1, 2, 3)),
-    ("mond-surface", SingularityClass.MOND_SURFACE, 3, (1, 2, 3)),
-    ("open-swallowtail", SingularityClass.OPEN_SWALLOWTAIL, 4, (1, 2, 4)),
-    ("open-mond-surface", SingularityClass.OPEN_MOND_SURFACE, 4, (1, 2, 4)),
-    ("open-folded-umbrella", SingularityClass.OPEN_FOLDED_UMBRELLA, 4, (1, 2, 4)),
-    ("unfurled-mond-surface", SingularityClass.UNFURLED_MOND_SURFACE, 4, (1, 2, 4)),
-    ("generic-folded-pleat", SingularityClass.GENERIC_FOLDED_PLEAT, 3, (1, 2, 3)),
-]
 
 
 def main():
@@ -32,7 +20,11 @@ def main():
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
-    for slug, sing, ambient, coords in EXPORTS:
+    for slug, sing in SINGULARITY_SLUGS.items():
+        # each form in the least ambient dimension it needs; its last
+        # coordinate goes to the third axis
+        ambient = len(normal_form_type(sing))
+        coords = (1, 2, ambient)
         form = normal_form(sing, ambient)
         mesh = sample_map(
             form.chart_st,

@@ -1,13 +1,16 @@
 """Singularity class of a tangent variety from the type of its curve.
 
-Every verdict here is a table lookup backed by a classification statement;
-no diffeomorphism is certified numerically.  In ambient dimension three the
-type determines the class directly; in higher ambient dimension the verdict
-depends only on a short leading prefix of the type, so appending further
-entries never changes it.  The type (2,3,5) is special: it is classified
-only within the contact-osculating class, and even there the type does not
-pin down the diffeomorphism class (exactly two classes occur), which the
-result reports as a caveat.
+Every verdict here is a lookup in one table, :data:`NORMAL_FORM_TYPES`,
+backed by a classification statement; no diffeomorphism is certified
+numerically.  The table lists the nine classified singularities, each under
+the type of the monomial curve whose tangent map is its (s,t) normal form,
+so those charts are derived rather than stored.  In ambient dimension three
+the type determines the class directly; in higher ambient dimension the
+verdict depends only on a short leading prefix of the type, so appending
+further entries never changes it.  The type (2,3,5) is special: it is
+classified only within the contact-osculating class, and even there the
+type does not pin down the diffeomorphism class (exactly two classes
+occur), which the result reports as a caveat.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Optional, Tuple
 from .curves import CurveGerm, TypeSequence
 from .jets import Jet2
 from .strata import ClassTag, CurveClass, enumerate_generic
+from .tangency import tangent_map
 
 
 class SingularityClass(Enum):
@@ -47,45 +51,48 @@ class Classification:
     caveat: Optional[str] = None
 
 
-_TABLE_DIM3 = {
+#: the classified singularities, each under the type whose monomial curve
+#: has the singularity's (s,t) normal form as its tangent map
+NORMAL_FORM_TYPES = {
     (1, 2, 3): SingularityClass.CUSPIDAL_EDGE,
     (1, 2, 4): SingularityClass.FOLDED_UMBRELLA,
     (2, 3, 4): SingularityClass.SWALLOWTAIL,
     (1, 3, 4): SingularityClass.MOND_SURFACE,
-}
-
-_TABLE_PREFIX4 = {
-    (1, 3, 4, 5): SingularityClass.OPEN_MOND_SURFACE,
     (2, 3, 4, 5): SingularityClass.OPEN_SWALLOWTAIL,
+    (1, 3, 4, 5): SingularityClass.OPEN_MOND_SURFACE,
     (1, 2, 4, 5): SingularityClass.OPEN_FOLDED_UMBRELLA,
     (1, 3, 4, 6): SingularityClass.UNFURLED_MOND_SURFACE,
+    (2, 3, 5): SingularityClass.GENERIC_FOLDED_PLEAT,
+}
+
+#: command-line names: the singularity's name lower-cased, blanks hyphenated
+SINGULARITY_SLUGS = {
+    sing.value.lower().replace(" ", "-"): sing for sing in NORMAL_FORM_TYPES.values()
 }
 
 
 def classify(A: TypeSequence, cls: CurveClass) -> Classification:
     """Look up the singularity of the tangent variety of a type-A curve.
 
-    The class argument fixes both the admissible table (the (2,3,5) entry
-    exists only for the contact class) and the genericity verdict, which
-    holds exactly when A lies in the codimension <= 1 list of the class.
+    A type of length three is looked up as it is; a longer one by its prefix
+    (1,2,3) if it starts so, and otherwise by its first four entries.  The
+    class argument fixes both the admissible table (the (2,3,5) entry counts
+    only for the contact class) and the genericity verdict, which holds
+    exactly when A lies in the codimension <= 1 list of the class.
     """
     if len(A) != cls.type_length:
         raise ValueError(
             f"type length {len(A)} does not match class ambient {cls.type_length}"
         )
     entries = A.entries
-    sing = SingularityClass.UNCLASSIFIED
+    key = entries[:3] if len(entries) == 3 or entries[:3] == (1, 2, 3) else entries[:4]
+    sing = NORMAL_FORM_TYPES.get(key, SingularityClass.UNCLASSIFIED)
     caveat = None
-    if len(entries) == 3:
-        sing = _TABLE_DIM3.get(entries, SingularityClass.UNCLASSIFIED)
-        if entries == (2, 3, 5) and cls.tag is ClassTag.CONTACT_OSCULATING:
-            sing = SingularityClass.GENERIC_FOLDED_PLEAT
+    if sing is SingularityClass.GENERIC_FOLDED_PLEAT:
+        if cls.tag is ClassTag.CONTACT_OSCULATING:
             caveat = TWO_CLASS_CAVEAT
-    else:
-        if entries[:3] == (1, 2, 3):
-            sing = SingularityClass.CUSPIDAL_EDGE
         else:
-            sing = _TABLE_PREFIX4.get(entries[:4], SingularityClass.UNCLASSIFIED)
+            sing = SingularityClass.UNCLASSIFIED
     generic = any(A.entries == B.entries for B in enumerate_generic(cls))
     return Classification(sing, generic, caveat)
 
@@ -118,61 +125,10 @@ def normal_form_curve(A: TypeSequence, truncation: Optional[int] = None) -> Curv
     return CurveGerm.monomial(A, truncation)
 
 
-# (s,t) charts, one term list per component: (coeff, s-exp, t-exp)
-_ST_CHARTS = {
-    SingularityClass.CUSPIDAL_EDGE: [
-        [(1, 1, 0), (1, 0, 1)],
-        [(1, 0, 2), (2, 1, 1)],
-        [(1, 0, 3), (3, 1, 2)],
-    ],
-    SingularityClass.FOLDED_UMBRELLA: [
-        [(1, 1, 0), (1, 0, 1)],
-        [(1, 0, 2), (2, 1, 1)],
-        [(1, 0, 4), (4, 1, 3)],
-    ],
-    SingularityClass.SWALLOWTAIL: [
-        [(1, 0, 2), (2, 1, 0)],
-        [(1, 0, 3), (3, 1, 1)],
-        [(1, 0, 4), (4, 1, 2)],
-    ],
-    SingularityClass.MOND_SURFACE: [
-        [(1, 1, 0), (1, 0, 1)],
-        [(1, 0, 3), (3, 1, 2)],
-        [(1, 0, 4), (4, 1, 3)],
-    ],
-    SingularityClass.OPEN_SWALLOWTAIL: [
-        [(1, 0, 2), (2, 1, 0)],
-        [(1, 0, 3), (3, 1, 1)],
-        [(1, 0, 4), (4, 1, 2)],
-        [(1, 0, 5), (5, 1, 3)],
-    ],
-    SingularityClass.OPEN_MOND_SURFACE: [
-        [(1, 1, 0), (1, 0, 1)],
-        [(1, 0, 3), (3, 1, 2)],
-        [(1, 0, 4), (4, 1, 3)],
-        [(1, 0, 5), (5, 1, 4)],
-    ],
-    SingularityClass.OPEN_FOLDED_UMBRELLA: [
-        [(1, 1, 0), (1, 0, 1)],
-        [(1, 0, 2), (2, 1, 1)],
-        [(1, 0, 4), (4, 1, 3)],
-        [(1, 0, 5), (5, 1, 4)],
-    ],
-    SingularityClass.UNFURLED_MOND_SURFACE: [
-        [(1, 1, 0), (1, 0, 1)],
-        [(1, 0, 3), (3, 1, 2)],
-        [(1, 0, 4), (4, 1, 3)],
-        [(1, 0, 6), (6, 1, 5)],
-    ],
-    SingularityClass.GENERIC_FOLDED_PLEAT: [
-        # tangent map of the (2,3,5) monomial curve; representative only
-        [(1, 0, 2), (2, 1, 0)],
-        [(1, 0, 3), (3, 1, 1)],
-        [(1, 0, 5), (5, 1, 3)],
-    ],
-}
+#: truncation order of every normal-form chart
+_TRUNCATION = 8
 
-# (u,x) charts: (coeff, u-exp, x-exp)
+# (u,x) charts: (coeff, u-exp, x-exp); not a function of the type
 _UX_CHARTS = {
     SingularityClass.CUSPIDAL_EDGE: [
         [(1, 1, 0)],
@@ -220,62 +176,44 @@ _UX_CHARTS = {
     ],
 }
 
-_MIN_AMBIENT = {
-    SingularityClass.CUSPIDAL_EDGE: 3,
-    SingularityClass.FOLDED_UMBRELLA: 3,
-    SingularityClass.SWALLOWTAIL: 3,
-    SingularityClass.MOND_SURFACE: 3,
-    SingularityClass.GENERIC_FOLDED_PLEAT: 3,
-    SingularityClass.OPEN_SWALLOWTAIL: 4,
-    SingularityClass.OPEN_MOND_SURFACE: 4,
-    SingularityClass.OPEN_FOLDED_UMBRELLA: 4,
-    SingularityClass.UNFURLED_MOND_SURFACE: 4,
-}
 
-#: monomial-curve types whose tangent map reproduces the (s,t) chart exactly
-NORMAL_FORM_TYPES = {
-    (1, 2, 3): SingularityClass.CUSPIDAL_EDGE,
-    (1, 2, 4): SingularityClass.FOLDED_UMBRELLA,
-    (2, 3, 4): SingularityClass.SWALLOWTAIL,
-    (1, 3, 4): SingularityClass.MOND_SURFACE,
-    (2, 3, 4, 5): SingularityClass.OPEN_SWALLOWTAIL,
-    (1, 3, 4, 5): SingularityClass.OPEN_MOND_SURFACE,
-    (1, 2, 4, 5): SingularityClass.OPEN_FOLDED_UMBRELLA,
-    (1, 3, 4, 6): SingularityClass.UNFURLED_MOND_SURFACE,
-    (2, 3, 5): SingularityClass.GENERIC_FOLDED_PLEAT,
-}
+def normal_form_type(singularity: SingularityClass) -> TypeSequence:
+    """The type under which ``singularity`` is listed in :data:`NORMAL_FORM_TYPES`."""
+    for entries, sing in NORMAL_FORM_TYPES.items():
+        if sing is singularity:
+            return TypeSequence(entries)
+    raise ValueError("no normal form for the unclassified verdict")
 
 
-def _build_chart(term_lists, ambient: int, truncation: int) -> Tuple[Jet2, ...]:
-    comps = [
-        Jet2.from_terms([(i, j, c) for c, i, j in comp], truncation)
-        for comp in term_lists
-    ]
-    while len(comps) < ambient:
-        comps.append(Jet2.zero(truncation))
-    return tuple(comps)
+def _pad(comps, ambient: int) -> Tuple[Jet2, ...]:
+    return tuple(comps) + (Jet2.zero(_TRUNCATION),) * (ambient - len(comps))
 
 
-def normal_form(
-    singularity: SingularityClass, ambient_dim: int, truncation: int = 8
-) -> NormalForm:
+def normal_form(singularity: SingularityClass, ambient_dim: int) -> NormalForm:
     """Exact parametrizations of a named singularity, padded with zeros.
 
-    The folded-pleat entry is a representative tangent map only (its
-    diffeomorphism class is not determined by the type); every other entry
-    is the classifying parametrization in both known charts.
+    The (s,t) chart is the tangent map of the monomial curve of the
+    singularity's type, which needs an ambient dimension of at least the
+    type's length.  The folded-pleat entry is a representative tangent map
+    only (its diffeomorphism class is not determined by the type); every
+    other entry is the classifying parametrization in both known charts.
     """
-    if singularity is SingularityClass.UNCLASSIFIED:
-        raise ValueError("no normal form for the unclassified verdict")
-    need = _MIN_AMBIENT[singularity]
-    if ambient_dim < need:
+    A = normal_form_type(singularity)
+    if ambient_dim < len(A):
         raise ValueError(
-            f"{singularity.value} needs ambient dimension >= {need}"
+            f"{singularity.value} needs ambient dimension >= {len(A)}"
         )
-    chart_st = _build_chart(_ST_CHARTS[singularity], ambient_dim, truncation)
+    curve = normal_form_curve(A, _TRUNCATION + A[0] - 1)
+    chart_st = _pad(tangent_map(curve).components, ambient_dim)
     chart_ux = None
     if singularity in _UX_CHARTS:
-        chart_ux = _build_chart(_UX_CHARTS[singularity], ambient_dim, truncation)
+        chart_ux = _pad(
+            [
+                Jet2.from_terms([(i, j, c) for c, i, j in comp], _TRUNCATION)
+                for comp in _UX_CHARTS[singularity]
+            ],
+            ambient_dim,
+        )
     caveat = (
         TWO_CLASS_CAVEAT
         if singularity is SingularityClass.GENERIC_FOLDED_PLEAT

@@ -17,7 +17,7 @@ import json
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .classify import SingularityClass, classify, normal_form
+from .classify import SINGULARITY_SLUGS, SingularityClass, classify, normal_form
 from .curves import NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
 from .germdoc import (
     GermDocumentError,
@@ -30,7 +30,7 @@ from .germdoc import (
 )
 from .jets import JetDomainError, TruncationMismatch
 from .mesh import sample_map, write_obj
-from .strata import CurveClass, codimension, enumerate_generic
+from .strata import MAX_TYPE_LENGTH, CurveClass, codimension, enumerate_generic
 from .surfaces import (
     ClosednessError,
     LegendreConditionError,
@@ -72,18 +72,6 @@ _GUARD_ERRORS = (
     ZeroDivisionError,
     OSError,
 )
-
-_SINGULARITY_SLUGS = {
-    "cuspidal-edge": SingularityClass.CUSPIDAL_EDGE,
-    "folded-umbrella": SingularityClass.FOLDED_UMBRELLA,
-    "open-folded-umbrella": SingularityClass.OPEN_FOLDED_UMBRELLA,
-    "swallowtail": SingularityClass.SWALLOWTAIL,
-    "open-swallowtail": SingularityClass.OPEN_SWALLOWTAIL,
-    "mond-surface": SingularityClass.MOND_SURFACE,
-    "open-mond-surface": SingularityClass.OPEN_MOND_SURFACE,
-    "unfurled-mond-surface": SingularityClass.UNFURLED_MOND_SURFACE,
-    "generic-folded-pleat": SingularityClass.GENERIC_FOLDED_PLEAT,
-}
 
 _VERONESE_TEXT = {
     VeroneseVerdict.ON_SURFACE: "on S",
@@ -143,6 +131,8 @@ def _extend_to_ambient(A: TypeSequence, ambient: Optional[int]) -> TypeSequence:
         return A
     if ambient < len(A):
         raise GermDocumentError("ambient dimension below the type length")
+    if ambient > MAX_TYPE_LENGTH:
+        raise GermDocumentError(f"type length {ambient} exceeds {MAX_TYPE_LENGTH}")
     tail = list(A.entries)
     while len(tail) < ambient:
         tail.append(tail[-1] + 1)
@@ -243,6 +233,22 @@ def _parse_coords(text: str) -> Tuple[int, int, int]:
         raise GermDocumentError("coords must look like '1,2,3'")
 
 
+def _write_mesh(args, components, provenance: str) -> Tuple[str, str]:
+    """Sample an (s,t) map as the ``--mesh`` flags ask; returns the report entry."""
+    coords = _parse_coords(args.coords)
+    lo, hi = _parse_range(args.range)
+    mesh = sample_map(
+        components,
+        coords=coords,
+        s_range=(lo, hi),
+        t_range=(lo, hi),
+        grid=args.grid,
+        provenance=provenance,
+    )
+    write_obj(mesh, args.mesh)
+    return ("mesh", f"{args.mesh} ({len(mesh.vertices)} vertices, {len(mesh.faces)} faces)")
+
+
 def _cmd_tangent(args) -> Tuple[int, Report]:
     germ = build_curve(parse_document(_read_input(args.input)))
     report: Report = [("command", "tangent"), ("ambient", germ.ambient_dim)]
@@ -274,19 +280,12 @@ def _cmd_tangent(args) -> Tuple[int, Report]:
         report.append((f"order P{i}", str(pair.p.order())))
         report.append((f"order Q{i}", str(pair.q.order())))
     if args.mesh:
-        coords = _parse_coords(args.coords)
-        lo, hi = _parse_range(args.range)
-        mesh = sample_map(
-            tmap.components,
-            coords=coords,
-            s_range=(lo, hi),
-            t_range=(lo, hi),
-            grid=args.grid,
-            provenance=f"tangent map of type {A.render()} curve, coords {args.coords}",
-        )
-        write_obj(mesh, args.mesh)
         report.append(
-            ("mesh", f"{args.mesh} ({len(mesh.vertices)} vertices, {len(mesh.faces)} faces)")
+            _write_mesh(
+                args,
+                tmap.components,
+                f"tangent map of type {A.render()} curve, coords {args.coords}",
+            )
         )
     return OK, report
 
@@ -394,11 +393,11 @@ def _cmd_family(args) -> Tuple[int, Report]:
 
 def _cmd_normal_form(args) -> Tuple[int, Report]:
     slug = args.singularity
-    if slug not in _SINGULARITY_SLUGS:
+    if slug not in SINGULARITY_SLUGS:
         raise GermDocumentError(
-            "unknown singularity; choose from " + ", ".join(sorted(_SINGULARITY_SLUGS))
+            "unknown singularity; choose from " + ", ".join(sorted(SINGULARITY_SLUGS))
         )
-    sing = _SINGULARITY_SLUGS[slug]
+    sing = SINGULARITY_SLUGS[slug]
     form = normal_form(sing, args.ambient)
     report: Report = [
         ("command", "normal-form"),
@@ -413,19 +412,10 @@ def _cmd_normal_form(args) -> Tuple[int, Report]:
     if form.caveat:
         report.append(("caveat", form.caveat))
     if args.mesh:
-        coords = _parse_coords(args.coords)
-        lo, hi = _parse_range(args.range)
-        mesh = sample_map(
-            form.chart_st,
-            coords=coords,
-            s_range=(lo, hi),
-            t_range=(lo, hi),
-            grid=args.grid,
-            provenance=f"normal form {slug}, (s,t) chart, coords {args.coords}",
-        )
-        write_obj(mesh, args.mesh)
         report.append(
-            ("mesh", f"{args.mesh} ({len(mesh.vertices)} vertices, {len(mesh.faces)} faces)")
+            _write_mesh(
+                args, form.chart_st, f"normal form {slug}, (s,t) chart, coords {args.coords}"
+            )
         )
     return OK, report
 
@@ -592,10 +582,7 @@ _HANDLERS = {
 
 def _render(report: Report, fmt: str) -> str:
     if fmt == "structured":
-        obj = {}
-        for key, value in report:
-            obj[key] = value
-        return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+        return json.dumps(dict(report), indent=2, sort_keys=False) + "\n"
     lines = []
     for key, value in report:
         if isinstance(value, list):

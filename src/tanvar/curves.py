@@ -51,10 +51,6 @@ class TypeSequence:
     def of(*entries: int) -> "TypeSequence":
         return TypeSequence(tuple(entries))
 
-    @property
-    def is_ordinary(self) -> bool:
-        return self.entries == tuple(range(1, len(self.entries) + 1))
-
     def render(self) -> str:
         return "(" + ",".join(str(a) for a in self.entries) + ")"
 
@@ -84,10 +80,6 @@ class CurveGerm:
                 raise ValueError("components must share one truncation order")
             if c.coefficient(0) != 0:
                 raise ValueError("curve germ components must vanish at t = 0")
-
-    @staticmethod
-    def from_components(components: Sequence[Jet1]) -> "CurveGerm":
-        return CurveGerm(tuple(components))
 
     @staticmethod
     def monomial(type_sequence: TypeSequence, truncation: int) -> "CurveGerm":

@@ -531,36 +531,35 @@ class Jet2:
         nord = self.order()
         if isinstance(nord, int) and nord < d:
             return None
-        if nord is ABOVE_TRUNCATION and d > 0:
-            # numerator may still be divisible (it is zero as far as stored)
-            pass
         Kq = K - d
-        bterms = list(other.terms())
         q = [Fraction(0)] * _tri_size(Kq)
         qterms: list = []
         for m in range(0, Kq + 1):
             # unknowns: q_{(m-j, j)} for j = 0..m; equations: degree m+d of product
             nunk = m + 1
-            neq = m + d + 1
-            rows = [[Fraction(0)] * (nunk + 1) for _ in range(neq)]
-            for eq_j in range(neq):
-                alpha = (m + d - eq_j, eq_j)
-                acc = self.coeffs[_tri_index(*alpha)]
+            rows = []
+            for eq_j in range(m + d + 1):
+                ai, aj = m + d - eq_j, eq_j
+                row = {}
+                for unk_j in range(nunk):
+                    bi, bj = ai - (m - unk_j), aj - unk_j
+                    if bi >= 0 and bj >= 0:
+                        bc = other.coeffs[_tri_index(bi, bj)]
+                        if bc:
+                            row[unk_j] = bc
+                acc = self.coeffs[_tri_index(ai, aj)]
                 # known lower-degree q contributions
                 for qi, qj, qc in qterms:
-                    bi, bj = alpha[0] - qi, alpha[1] - qj
-                    if bi >= 0 and bj >= 0 and bi + bj <= self.truncation:
+                    bi, bj = ai - qi, aj - qj
+                    if bi >= 0 and bj >= 0 and bi + bj <= K:
                         bc = other.coeffs[_tri_index(bi, bj)]
                         if bc != 0:
                             acc -= qc * bc
-                rows[eq_j][nunk] = acc
-                for unk_j in range(nunk):
-                    beta = (m - unk_j, unk_j)
-                    bi, bj = alpha[0] - beta[0], alpha[1] - beta[1]
-                    if bi >= 0 and bj >= 0:
-                        rows[eq_j][unk_j] = other.coeffs[_tri_index(bi, bj)]
-            sol = _solve_exact(rows, nunk)
-            if sol is None:
+                if acc:
+                    row[nunk] = acc
+                rows.append(row)
+            sol = linalg.solve(rows, nunk)
+            if isinstance(sol, linalg.Inconsistent):
                 return None
             for unk_j, val in enumerate(sol):
                 if val != 0:
@@ -626,16 +625,6 @@ class Jet2:
 # --------------------------------------------------------------------------
 # helpers
 # --------------------------------------------------------------------------
-
-
-def _solve_exact(rows, nunk):
-    """Solve an augmented matrix given as dense rows over Q; None if inconsistent.
-
-    Unique solutions are assumed by the callers that require them; free
-    variables (if any) are set to zero.
-    """
-    sol = linalg.solve([{c: x for c, x in enumerate(row) if x} for row in rows], nunk)
-    return None if isinstance(sol, linalg.Inconsistent) else sol
 
 
 def _render_power(var: str, k: int) -> str:

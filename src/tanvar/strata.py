@@ -32,6 +32,10 @@ from typing import List, Tuple, Union
 
 from .curves import TypeSequence
 
+#: longest type a class may have; curve documents are capped at truncation
+#: 256 (``jets.MAX_TRUNCATION_1``), so every type read from one fits
+MAX_TYPE_LENGTH = 256
+
 
 class ClassTag(Enum):
     PLAIN = "plain"
@@ -265,5 +269,8 @@ def enumerate_generic(cls: CurveClass) -> List[TypeSequence]:
 
     For the contact class only admissible types qualify.  The search bound
     a_i <= i + 2 is complete for codimension <= 1 (see module docstring).
+    Classes whose types are longer than :data:`MAX_TYPE_LENGTH` are refused.
     """
+    if cls.type_length > MAX_TYPE_LENGTH:
+        raise ValueError(f"type length {cls.type_length} exceeds {MAX_TYPE_LENGTH}")
     return list(_enumerate_cached(cls))

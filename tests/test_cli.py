@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +70,40 @@ def test_enumerate_contact():
     assert code == 0
     for entries in ("(1,2,3,4,5)", "(1,2,4,5,6)", "(1,3,4,6,7)", "(2,3,4,5,7)"):
         assert entries in out
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, length",
+    [
+        (["classify", "--type", "1,2,3", "--ambient", "1100"], 1100),
+        (["classify", "--type", "1,2,3", "--ambient", "1000000000"], 1000000000),
+        (["classify", "--type", ",".join(map(str, range(1, 258)))], 257),
+        (["enumerate", "--class", "contact", "--n", "600"], 1201),
+        (["enumerate", "--class", "plain", "--N", "256"], 257),
+    ],
+)
+def test_type_length_cap(argv, length):
+    message = f"type length {length} exceeds 256"
+    assert run(argv) == (2, f"error: {message}\n")
+    code, out = run(argv + ["--format", "structured"])
+    assert (code, json.loads(out)) == (2, {"error": message})
+
+
+def test_type_length_cap_exits_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tanvar.cli", "enumerate", "--class", "contact", "--n", "600"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "error: type length 1201 exceeds 256\n",
+        "",
+    )
 
 
 def test_codim_reports():
@@ -174,6 +211,65 @@ def test_normal_form_report():
     assert "(u,x) chart component 2: u*x + x^3" in out
 
 
+# every classified singularity, in the least ambient dimension it needs
+NORMAL_FORM_SLUGS = [
+    ("cuspidal-edge", 3),
+    ("folded-umbrella", 3),
+    ("swallowtail", 3),
+    ("mond-surface", 3),
+    ("open-swallowtail", 4),
+    ("open-mond-surface", 4),
+    ("open-folded-umbrella", 4),
+    ("unfurled-mond-surface", 4),
+    ("generic-folded-pleat", 3),
+]
+
+
+def test_normal_form_reports_pinned():
+    # tests/data/normal_forms.txt holds the nine reports, concatenated
+    outs = []
+    for slug, ambient in NORMAL_FORM_SLUGS:
+        code, out = run(["normal-form", "--singularity", slug, "--ambient", str(ambient)])
+        assert code == 0, slug
+        outs.append(out)
+    golden = (pathlib.Path(__file__).parent / "data" / "normal_forms.txt").read_text()
+    assert "".join(outs) == golden
+
+
+def test_normal_form_guards():
+    code, out = run(["normal-form", "--singularity", "open-swallowtail", "--ambient", "3"])
+    assert (code, out) == (2, "error: open swallowtail needs ambient dimension >= 4\n")
+    code, out = run(["normal-form", "--singularity", "cusp", "--ambient", "3"])
+    assert code == 2
+    assert out == (
+        "error: unknown singularity; choose from " + ", ".join(sorted(s for s, _ in NORMAL_FORM_SLUGS))
+        + "\n"
+    )
+
+
+def test_normal_form_mesh(tmp_path):
+    target = tmp_path / "nf.obj"
+    code, out = run(
+        ["normal-form", "--singularity", "open-swallowtail", "--ambient", "4",
+         "--mesh", str(target), "--grid", "3", "--coords", "1,2,4"]
+    )
+    assert code == 0
+    assert out.endswith(f"mesh: {target} (9 vertices, 4 faces)\n")
+    text = target.read_text()
+    assert text.splitlines()[0] == (
+        "# provenance: normal form open-swallowtail, (s,t) chart, coords 1,2,4"
+    )
+    vertices, faces = parse_obj(text)
+    # (s,t) = (1,-1) maps to (2*s + t^2, ..., 5*s*t^3 + t^5) = (3, -4, -6) on coords 1,2,4
+    assert vertices[6] == (3.0, -4.0, -6.0)
+    assert len(faces) == 4
+    code, out = run(
+        ["normal-form", "--singularity", "open-swallowtail", "--ambient", "4",
+         "--mesh", str(target), "--coords", "1,2,9"]
+    )
+    assert (code, out) == (2, "error: coordinate index 9 out of range\n")
+
+
 def test_batch(tmp_path):
     text = CUSP + "---\n" + SECANT + "---\n" + HYPERBOLIC
     code, out = run(["batch", write(tmp_path, "b.germs", text)])
@@ -248,6 +344,27 @@ def test_mesh_export_and_roundtrip(tmp_path):
         _, xs, ys, zs = line.split()
         assert (float(xs), float(ys), float(zs)) == (x, y, z)
         assert f"{x:.9g}" == xs
+
+
+def test_export_meshes_script(tmp_path):
+    script = SRC.parent / "scripts" / "export_meshes.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path), "--grid", "2"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{slug}.obj" for slug, _ in NORMAL_FORM_SLUGS
+    )
+    for slug, ambient in NORMAL_FORM_SLUGS:
+        text = (tmp_path / f"{slug}.obj").read_text()
+        assert text.splitlines()[0] == (
+            f"# provenance: {slug} normal form, coords (1, 2, {ambient})"
+        )
+        vertices, faces = parse_obj(text)
+        assert (len(vertices), len(faces)) == (4, 1)
 
 
 def test_mesh_coordinate_guard(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import jet1s, jet2s
+from tanvar import linalg
 from tanvar.jets import (
     ABOVE_TRUNCATION,
     Jet1,
@@ -262,10 +263,8 @@ def test_cusp_module_identities_unique_coefficients():
     sol = None
     for trio in itertools.combinations(range(4), 3):
         m = [[rows[r][c] for c in range(3)] + [rhs[r]] for r in trio]
-        from tanvar.jets import _solve_exact
-
-        cand = _solve_exact([row[:] for row in m], 3)
-        if cand is not None:
+        cand = linalg.solve([{c: x for c, x in enumerate(row) if x} for row in m], 3)
+        if not isinstance(cand, linalg.Inconsistent):
             sol = cand
             break
     assert sol == [F(16, 15), F(2, 45), F(-2, 27)]

@@ -249,3 +249,14 @@ def test_enumeration_matches_brute_force_over_wider_box():
                 wide.add(entries)
         got = {A.entries for A in enumerate_generic(cls)}
         assert got == wide
+
+
+def test_type_length_cap_matches_curve_truncation_cap():
+    from tanvar.jets import MAX_TRUNCATION_1
+    from tanvar.strata import MAX_TYPE_LENGTH
+
+    assert MAX_TYPE_LENGTH == MAX_TRUNCATION_1
+    with pytest.raises(ValueError, match="type length 257 exceeds 256"):
+        enumerate_generic(CurveClass.plain(MAX_TYPE_LENGTH))
+    with pytest.raises(ValueError, match="type length 257 exceeds 256"):
+        enumerate_generic(CurveClass.contact_osculating(128))
