@@ -8,7 +8,7 @@ at most one, their codimension, and the singularity of the tangent variety.
 import argparse
 
 from tanvar.classify import classify
-from tanvar.strata import CurveClass, codimension, enumerate_generic
+from tanvar.strata import CLASSES, codimension, enumerate_generic
 
 
 def table(cls):
@@ -28,16 +28,10 @@ def main():
     parser.add_argument("--max-n", type=int, default=3)
     args = parser.parse_args()
 
-    for N in range(2, args.max_N + 1):
-        table(CurveClass.plain(N))
-    for N in range(2, args.max_N + 1):
-        table(CurveClass.tangent_framed(N))
-    for N in range(2, args.max_N + 1):
-        table(CurveClass.tpn_framed(N))
-    for N in range(2, args.max_N + 1):
-        table(CurveClass.osculating_framed(N))
-    for n in range(1, args.max_n + 1):
-        table(CurveClass.contact_osculating(n))
+    for name, make in CLASSES.items():
+        dims = range(1, args.max_n + 1) if name == "contact" else range(2, args.max_N + 1)
+        for dim in dims:
+            table(make(dim))
 
 
 if __name__ == "__main__":

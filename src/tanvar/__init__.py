@@ -29,7 +29,7 @@ from .classify import (
 )
 from .jets import ABOVE_TRUNCATION, Jet1, Jet2, TruncationMismatch
 from .strata import (
-    ClassTag,
+    CLASSES,
     CurveClass,
     Inadmissible,
     LagrangianOrders,

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from .curves import CurveGerm, TypeSequence
 from .jets import Jet2
-from .strata import ClassTag, CurveClass, enumerate_generic
+from .strata import MAX_TYPE_LENGTH, CurveClass, enumerate_generic
 from .tangency import tangent_map
 
 
@@ -89,7 +89,7 @@ def classify(A: TypeSequence, cls: CurveClass) -> Classification:
     sing = NORMAL_FORM_TYPES.get(key, SingularityClass.UNCLASSIFIED)
     caveat = None
     if sing is SingularityClass.GENERIC_FOLDED_PLEAT:
-        if cls.tag is ClassTag.CONTACT_OSCULATING:
+        if cls.depth is None:
             caveat = TWO_CLASS_CAVEAT
         else:
             sing = SingularityClass.UNCLASSIFIED
@@ -203,6 +203,8 @@ def normal_form(singularity: SingularityClass, ambient_dim: int) -> NormalForm:
         raise ValueError(
             f"{singularity.value} needs ambient dimension >= {len(A)}"
         )
+    if ambient_dim > MAX_TYPE_LENGTH:
+        raise ValueError(f"type length {ambient_dim} exceeds {MAX_TYPE_LENGTH}")
     curve = normal_form_curve(A, _TRUNCATION + A[0] - 1)
     chart_st = _pad(tangent_map(curve).components, ambient_dim)
     chart_ux = None

@@ -28,12 +28,9 @@ from .germdoc import (
     parse_rationals,
     split_documents,
 )
-from .jets import JetDomainError, TruncationMismatch
 from .mesh import sample_map, write_obj
-from .strata import MAX_TYPE_LENGTH, CurveClass, codimension, enumerate_generic
+from .strata import CLASSES, MAX_TYPE_LENGTH, CurveClass, codimension, enumerate_generic
 from .surfaces import (
-    ClosednessError,
-    LegendreConditionError,
     OrdinaryPointClass,
     SajiTag,
     SymMatrix3,
@@ -46,7 +43,6 @@ from .surfaces import (
 )
 from .tangency import (
     DivisibilityError,
-    GeneratingFamilyError,
     NotFrontalUpTo,
     generating_family_tangent,
     grassmann_lift,
@@ -60,18 +56,8 @@ Report = List[Tuple[str, object]]
 
 OK, GUARD, INCONCLUSIVE = 0, 2, 3
 
-_GUARD_ERRORS = (
-    GermDocumentError,
-    ClosednessError,
-    LegendreConditionError,
-    GeneratingFamilyError,
-    DivisibilityError,
-    TruncationMismatch,
-    JetDomainError,
-    ValueError,
-    ZeroDivisionError,
-    OSError,
-)
+#: the library's own error classes all derive from ValueError
+_GUARD_ERRORS = (ValueError, ZeroDivisionError, OSError)
 
 _VERONESE_TEXT = {
     VeroneseVerdict.ON_SURFACE: "on S",
@@ -97,9 +83,8 @@ def _parse_type(text: str) -> TypeSequence:
 
 
 def _class_for(args, type_length: int) -> CurveClass:
-    name = getattr(args, "curve_class", None) or "plain"
-    if name == "contact":
-        n = getattr(args, "n", None)
+    if args.curve_class == "contact":
+        n = args.n
         if n is None:
             if type_length % 2 == 0 or type_length < 3:
                 raise GermDocumentError(
@@ -107,23 +92,12 @@ def _class_for(args, type_length: int) -> CurveClass:
                 )
             n = (type_length - 1) // 2
         return CurveClass.contact_osculating(n)
-    N = getattr(args, "N", None)
-    if N is None:
-        N = type_length - 1
-    if name == "plain":
-        return CurveClass.plain(N)
-    if name == "tangent":
-        return CurveClass.tangent_framed(N)
-    if name == "tpn":
-        return CurveClass.tpn_framed(N)
-    if name == "osculating":
-        return CurveClass.osculating_framed(N)
-    if name == "flag":
-        k = getattr(args, "k", None)
-        if k is None:
+    N = type_length - 1 if args.N is None else args.N
+    if args.curve_class == "flag":
+        if args.k is None:
             raise GermDocumentError("--class flag needs --k")
-        return CurveClass.flag(N, k)
-    raise GermDocumentError(f"unknown curve class {name!r}")
+        return CurveClass.flag(N, args.k)
+    return CLASSES[args.curve_class](N)
 
 
 def _extend_to_ambient(A: TypeSequence, ambient: Optional[int]) -> TypeSequence:
@@ -336,11 +310,13 @@ def _cmd_veronese(args) -> Tuple[int, Report]:
 
 def _cmd_opening(args) -> Tuple[int, Report]:
     germ = build_curve(parse_document(_read_input(args.input)))
-    tmap = tangent_map(germ)
-    report: Report = [
-        ("command", "opening"),
-        ("type", tmap.source_type.render()),
-    ]
+    report: Report = [("command", "opening")]
+    try:
+        tmap = tangent_map(germ)
+    except NotFiniteTypeError as exc:
+        report.append(("verdict", str(exc)))
+        return INCONCLUSIVE, report
+    report.append(("type", tmap.source_type.render()))
     certs = opening_check(tmap)
     if isinstance(certs, NotFrontalUpTo):
         report.append(("verdict", f"not frontal up to truncation {certs.truncation}"))
@@ -490,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--class",
             dest="curve_class",
-            choices=("plain", "tangent", "tpn", "osculating", "contact", "flag"),
+            choices=tuple(CLASSES) + ("flag",),
             default="plain",
         )
         p.add_argument("--N", type=int, default=None)

@@ -297,13 +297,6 @@ class Jet1:
             raise JetDomainError("cannot raise a truncation order")
         return Jet1(self.coeffs[: new_truncation + 1])
 
-    def evaluate(self, x):
-        """Evaluate the stored polynomial part at x (Horner)."""
-        acc = self.coeffs[self.truncation] * 1
-        for k in range(self.truncation - 1, -1, -1):
-            acc = acc * x + self.coeffs[k]
-        return acc
-
     def render(self, var: str = "t") -> str:
         return _render_terms(
             ((c, ((var, k),)) for k, c in enumerate(self.coeffs) if c != 0)
@@ -603,12 +596,6 @@ class Jet2:
         if new_truncation > self.truncation:
             raise JetDomainError("cannot raise a truncation order")
         return Jet2(self.coeffs[: _tri_size(new_truncation)], new_truncation)
-
-    def evaluate(self, x, y):
-        acc = 0
-        for i, j, c in self.terms():
-            acc = acc + c * (x ** i) * (y ** j)
-        return acc
 
     def render(self, vars: Tuple[str, str] = ("s", "t")) -> str:
         return _render_terms(

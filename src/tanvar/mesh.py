@@ -12,6 +12,9 @@ from typing import List, Sequence, Tuple
 
 from .jets import Jet2
 
+#: largest grid side; a 500 x 500 mesh is an OBJ file of about 17 MB
+MAX_GRID = 500
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -31,10 +34,12 @@ def sample_map(
     """Sample three chosen components of a two-parameter jet map on a grid.
 
     ``coords`` are 1-based component indices; the grid is ``grid x grid``
-    vertices over the closed parameter box.
+    vertices over the closed parameter box, with 2 <= grid <= MAX_GRID.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be at most {MAX_GRID}")
     for c in coords:
         if not 1 <= c <= len(components):
             raise ValueError(f"coordinate index {c} out of range")

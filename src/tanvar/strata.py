@@ -26,9 +26,8 @@ is finite and complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .curves import TypeSequence
 
@@ -37,103 +36,81 @@ from .curves import TypeSequence
 MAX_TYPE_LENGTH = 256
 
 
-class ClassTag(Enum):
-    PLAIN = "plain"
-    TANGENT_FRAMED = "tangent"
-    TPN_FRAMED = "tpn"
-    OSCULATING_FRAMED = "osculating"
-    CONTACT_OSCULATING = "contact"
-
-
 @dataclass(frozen=True)
 class CurveClass:
-    """A curve class: the geometric constraint plus its dimension parameter.
+    """A curve class: its description, dimension parameter and flag depth.
 
     ``dimension`` is N for the projective classes (ambient dimension N+1)
-    and n for the contact class (ambient dimension 2n+1).  ``flag_depth``
-    overrides the depth for the general partial-flag case; the named framed
-    classes fix it to 1, 2 and N.
+    and n for the contact class (ambient dimension 2n+1).  ``depth`` is 0
+    for plain curves, k for curves framed by a flag of depth k, and None for
+    contact-integral curves.
     """
 
-    tag: ClassTag
+    description: str
     dimension: int
-    flag_depth: int = 0
+    depth: Optional[int]
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension parameter must be >= 1")
-        if self.tag is ClassTag.CONTACT_OSCULATING:
-            if self.flag_depth:
-                raise ValueError("contact class takes no flag depth")
-        elif self.flag_depth and not 1 <= self.flag_depth <= self.dimension:
-            raise ValueError("flag depth must satisfy 1 <= k <= N")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def plain(N: int) -> "CurveClass":
-        return CurveClass(ClassTag.PLAIN, N)
+        return CurveClass("plain", N, 0)
 
     @staticmethod
     def tangent_framed(N: int) -> "CurveClass":
-        return CurveClass(ClassTag.TANGENT_FRAMED, N)
+        return CurveClass("tangent-framed", N, 1)
 
     @staticmethod
     def tpn_framed(N: int) -> "CurveClass":
-        return CurveClass(ClassTag.TPN_FRAMED, N)
+        return CurveClass("tangent-principal-normal-framed", N, 2)
 
     @staticmethod
     def osculating_framed(N: int) -> "CurveClass":
-        return CurveClass(ClassTag.OSCULATING_FRAMED, N)
+        return CurveClass("osculating-framed", N, N)
 
     @staticmethod
     def contact_osculating(n: int) -> "CurveClass":
-        return CurveClass(ClassTag.CONTACT_OSCULATING, n)
+        return CurveClass("contact-osculating", n, None)
 
     @staticmethod
     def flag(N: int, k: int) -> "CurveClass":
-        """General partial-flag class of depth k (columns 1..k+1 of the flag)."""
-        if k == 1:
-            return CurveClass.tangent_framed(N)
-        if k == 2 and N >= 2:
-            return CurveClass.tpn_framed(N)
-        if k == N:
-            return CurveClass.osculating_framed(N)
-        return CurveClass(ClassTag.TANGENT_FRAMED, N, flag_depth=k)
+        """General partial-flag class of depth k (columns 1..k+1 of the flag).
+
+        A depth that a named class of :data:`CLASSES` has (1, 2 or N) gives
+        that class, the first in table order.
+        """
+        if not 1 <= k <= N:
+            raise ValueError("flag depth must satisfy 1 <= k <= N")
+        for make in CLASSES.values():
+            if make(N).depth == k:
+                return make(N)
+        return CurveClass(f"flag-framed (k={k})", N, k)
 
     # -- derived data ----------------------------------------------------------
 
     @property
     def type_length(self) -> int:
-        if self.tag is ClassTag.CONTACT_OSCULATING:
+        if self.depth is None:
             return 2 * self.dimension + 1
         return self.dimension + 1
 
-    @property
-    def depth(self) -> int:
-        """Effective flag depth for the codimension formula (0 for plain/contact)."""
-        if self.flag_depth:
-            return self.flag_depth
-        if self.tag is ClassTag.TANGENT_FRAMED:
-            return 1
-        if self.tag is ClassTag.TPN_FRAMED:
-            return 2
-        if self.tag is ClassTag.OSCULATING_FRAMED:
-            return self.dimension
-        return 0
-
     def describe(self) -> str:
-        if self.tag is ClassTag.CONTACT_OSCULATING:
-            return f"contact-osculating (n={self.dimension})"
-        base = {
-            ClassTag.PLAIN: "plain",
-            ClassTag.TANGENT_FRAMED: "tangent-framed",
-            ClassTag.TPN_FRAMED: "tangent-principal-normal-framed",
-            ClassTag.OSCULATING_FRAMED: "osculating-framed",
-        }[self.tag]
-        if self.flag_depth:
-            base = f"flag-framed (k={self.flag_depth})"
-        return f"{base} (N={self.dimension})"
+        letter = "n" if self.depth is None else "N"
+        return f"{self.description} ({letter}={self.dimension})"
+
+
+#: the ``--class`` names of the command line, each with its constructor
+CLASSES = {
+    "plain": CurveClass.plain,
+    "tangent": CurveClass.tangent_framed,
+    "tpn": CurveClass.tpn_framed,
+    "osculating": CurveClass.osculating_framed,
+    "contact": CurveClass.contact_osculating,
+}
 
 
 @dataclass(frozen=True)
@@ -226,10 +203,10 @@ def orders_to_type(orders: LagrangianOrders) -> TypeSequence:
 
 def codimension(A: TypeSequence, cls: CurveClass) -> int:
     """Codimension of the type stratum within the given curve class."""
-    if cls.tag is ClassTag.PLAIN:
-        return codim_plain(A, cls.dimension)
-    if cls.tag is ClassTag.CONTACT_OSCULATING:
+    if cls.depth is None:
         return codim_lagrangian(A, cls.dimension)
+    if cls.depth == 0:
+        return codim_plain(A, cls.dimension)
     return codim_flag(A, cls.depth, cls.dimension)
 
 
@@ -255,7 +232,7 @@ def _enumerate_cached(cls: CurveClass) -> Tuple[TypeSequence, ...]:
     result = []
     for seq in _bounded_sequences(cls.type_length):
         A = TypeSequence(seq)
-        if cls.tag is ClassTag.CONTACT_OSCULATING:
+        if cls.depth is None:
             if isinstance(lagrangian_admissible(A, cls.dimension), Inadmissible):
                 continue
         if codimension(A, cls) <= 1:

@@ -83,6 +83,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
         (["classify", "--type", ",".join(map(str, range(1, 258)))], 257),
         (["enumerate", "--class", "contact", "--n", "600"], 1201),
         (["enumerate", "--class", "plain", "--N", "256"], 257),
+        (["normal-form", "--singularity", "cuspidal-edge", "--ambient", "100000000"], 100000000),
     ],
 )
 def test_type_length_cap(argv, length):
@@ -120,6 +121,23 @@ def test_codim_general_flag_depth():
         ["codim", "--type", "2,3,4,5", "--class", "flag", "--k", "1", "--N", "3"]
     )
     assert code == 0 and "codimension: 1" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codim", "--type", "1,2,3,4"],
+        ["classify", "--type", "1,2,3,4"],
+        ["enumerate", "--N", "3"],
+    ],
+)
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_flag_depth_out_of_range(argv, k):
+    message = "flag depth must satisfy 1 <= k <= N"
+    argv = argv + ["--class", "flag", "--k", k]
+    assert run(argv) == (2, f"error: {message}\n")
+    code, out = run(argv + ["--format", "structured"])
+    assert (code, json.loads(out)) == (2, {"error": message})
 
 
 def test_tangent_report(tmp_path):
@@ -180,6 +198,15 @@ def test_opening_report(tmp_path):
     code, out = run(["opening", write(tmp_path, "c.germ", CUSP)])
     assert code == 0
     assert "certificates: 1" in out
+
+
+def test_opening_not_finite_type_is_inconclusive(tmp_path):
+    germ = "kind: curve\ntruncation: 4\ncomponent: t\ncomponent: t^2\ncomponent: t^2\n"
+    code, out = run(["opening", write(tmp_path, "n.germ", germ)])
+    assert (code, out) == (
+        3,
+        "command: opening\nverdict: germ is not of finite type within truncation 4\n",
+    )
 
 
 def test_morin_report():
@@ -365,6 +392,31 @@ def test_export_meshes_script(tmp_path):
         )
         vertices, faces = parse_obj(text)
         assert (len(vertices), len(faces)) == (4, 1)
+
+
+@pytest.mark.parametrize("command", ["tangent", "normal-form"])
+def test_mesh_grid_cap(tmp_path, command):
+    if command == "tangent":
+        argv = ["tangent", write(tmp_path, "c.germ", CUSP)]
+    else:
+        argv = ["normal-form", "--singularity", "cuspidal-edge", "--ambient", "3"]
+    target = tmp_path / "big.obj"
+    code, out = run(argv + ["--mesh", str(target), "--grid", "501"])
+    assert (code, out) == (2, "error: grid must be at most 500\n")
+    assert not target.exists()
+
+
+def test_reproduce_tables_script():
+    script = SRC.parent / "scripts" / "reproduce_tables.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = pathlib.Path(__file__).parent / "data" / "generic_tables.txt"
+    assert proc.stdout == expected.read_text()
 
 
 def test_mesh_coordinate_guard(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from tanvar.curves import TypeSequence
 from tanvar.strata import (
+    CLASSES,
     CurveClass,
     Inadmissible,
     LagrangianOrders,
@@ -57,6 +58,37 @@ def test_codim_flag_ordinary_any_depth():
 def test_codim_flag_depth_guard():
     with pytest.raises(ValueError):
         codim_flag(T(1, 2, 3, 4), 4, 3)
+
+
+def test_class_table_depths_and_descriptions():
+    got = {
+        name: (make(3).depth, make(3).type_length, make(3).describe())
+        for name, make in CLASSES.items()
+    }
+    assert got == {
+        "plain": (0, 4, "plain (N=3)"),
+        "tangent": (1, 4, "tangent-framed (N=3)"),
+        "tpn": (2, 4, "tangent-principal-normal-framed (N=3)"),
+        "osculating": (3, 4, "osculating-framed (N=3)"),
+        "contact": (None, 7, "contact-osculating (n=3)"),
+    }
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_flag_class_depth(N):
+    for k in (-1, 0, N + 1):
+        with pytest.raises(ValueError, match="flag depth must satisfy 1 <= k <= N"):
+            CurveClass.flag(N, k)
+    for k in range(1, N + 1):
+        cls = CurveClass.flag(N, k)
+        assert (cls.dimension, cls.depth) == (N, k)
+    assert CurveClass.flag(N, 1) == CurveClass.tangent_framed(N)
+    if N >= 2:
+        assert CurveClass.flag(N, 2) == CurveClass.tpn_framed(N)
+    if N >= 3:
+        assert CurveClass.flag(N, N) == CurveClass.osculating_framed(N)
+    if N >= 4:
+        assert CurveClass.flag(N, 3).describe() == f"flag-framed (k=3) (N={N})"
 
 
 def test_codim_flag_full_depth_on_random_sequences(rng):
