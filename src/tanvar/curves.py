@@ -187,10 +187,7 @@ def normalize(germ: CurveGerm):
     K = germ.truncation
     # each row carries its component's coefficients in columns 0..K and a row
     # of the identity in columns K+1.., which records the row operations
-    rows = [
-        {**{k: c for k, c in enumerate(x.coeffs) if c}, K + 1 + i: Fraction(1)}
-        for i, x in enumerate(germ.components)
-    ]
+    rows = [{**dict(x.terms()), K + 1 + i: Fraction(1)} for i, x in enumerate(germ.components)]
     order, pivots = eliminate(rows, t.entries)
     assert len(pivots) == m  # the rank filtration guarantees a pivot row
     zero = Fraction(0)

@@ -17,11 +17,19 @@ The two-variable jets are stored as dense triangular coefficient tables
 ``<= 24``, which covers every computation performed by the rest of the
 library with room to spare.
 
+:class:`Jet1` and :class:`Jet2` share one core for what does not depend on
+the number of variables: ``+``, ``-``, negation, scalar ``*``, the
+equal-truncation check, ``is_zero``, ``order``, ``truncate``, ``zero``,
+``constant`` and ``str``, and with them :func:`align` and
+:func:`equal_as_polynomials`.  Products, calculus, construction from terms,
+composition and rendering are written per class.
+
 All jet values are immutable; every operation returns a fresh jet.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
@@ -88,11 +96,92 @@ ExtOrder = Union[int, _AboveTruncation]
 def _frac(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+# --------------------------------------------------------------------------
+# shared core
+# --------------------------------------------------------------------------
+
+
+class _Jet:
+    """Jet operations that do not depend on the number of variables.
+
+    A subclass keeps its coefficient table in the tuple ``coeffs`` and
+    provides three hooks: ``_size(K)``, the table length at truncation K;
+    ``_make(coeffs, K)``, the jet with that table; and ``terms()``, which
+    yields ``(exponents..., coeff)`` over the nonzero coefficients in
+    increasing total degree.
+    """
+
+    # -- construction ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, truncation: int):
+        return cls._make((Fraction(0),) * cls._size(truncation), truncation)
+
+    @classmethod
+    def constant(cls, value: Scalar, truncation: int):
+        c = [Fraction(0)] * cls._size(truncation)
+        c[0] = _frac(value)
+        return cls._make(tuple(c), truncation)
+
+    # -- queries -------------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def order(self) -> ExtOrder:
+        """Smallest total degree with a nonzero coefficient (ABOVE_TRUNCATION if none)."""
+        for *exponents, _ in self.terms():
+            return sum(exponents)
+        return ABOVE_TRUNCATION
+
+    # -- ring operations -----------------------------------------------------
+
+    def _require_same(self, other: "_Jet") -> None:
+        if self.truncation != other.truncation:
+            raise TruncationMismatch(f"truncation {self.truncation} vs {other.truncation}")
+
+    def _pointwise(self, other, op):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same(other)
+        return self._make(tuple(map(op, self.coeffs, other.coeffs)), self.truncation)
+
+    def __add__(self, other):
+        return self._pointwise(other, operator.add)
+
+    def __sub__(self, other):
+        return self._pointwise(other, operator.sub)
+
+    def __neg__(self):
+        return self._make(tuple(-a for a in self.coeffs), self.truncation)
+
+    def _scale(self, other):
+        """Product with an exact scalar; each ``__mul__`` ends here."""
+        if isinstance(other, (int, Fraction)):
+            f = _frac(other)
+            return self._make(tuple(a * f for a in self.coeffs), self.truncation)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.__mul__(other)
+        return NotImplemented
+
+    # -- misc ------------------------------------------------------------------
+
+    def truncate(self, new_truncation: int):
+        if new_truncation > self.truncation:
+            raise JetDomainError("cannot raise a truncation order")
+        return self._make(self.coeffs[: self._size(new_truncation)], new_truncation)
+
+    def __str__(self):
+        return self.render()
 
 
 # --------------------------------------------------------------------------
@@ -101,7 +190,7 @@ def _frac(x: Scalar) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Jet1:
+class Jet1(_Jet):
     """Truncated power series in one variable with exact rational coefficients.
 
     ``coeffs[k]`` is the coefficient of degree ``k``; the truncation order is
@@ -114,30 +203,23 @@ class Jet1:
         if len(self.coeffs) == 0:
             raise ValueError("a jet stores at least the degree-0 coefficient")
 
+    @staticmethod
+    def _size(truncation: int) -> int:
+        return truncation + 1
+
+    @staticmethod
+    def _make(coeffs: Tuple[Fraction, ...], truncation: int) -> "Jet1":
+        return Jet1(coeffs)
+
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def zero(truncation: int) -> "Jet1":
-        return Jet1((Fraction(0),) * (truncation + 1))
-
-    @staticmethod
-    def constant(value: Scalar, truncation: int) -> "Jet1":
-        c = [Fraction(0)] * (truncation + 1)
-        c[0] = _frac(value)
-        return Jet1(tuple(c))
-
-    @staticmethod
     def variable(truncation: int) -> "Jet1":
-        return Jet1.term(1, 1, truncation)
+        return Jet1.from_terms([(1, 1)], truncation)
 
     @staticmethod
     def term(coeff: Scalar, power: int, truncation: int) -> "Jet1":
-        if power < 0:
-            raise ValueError("negative power")
-        c = [Fraction(0)] * (truncation + 1)
-        if power <= truncation:
-            c[power] = _frac(coeff)
-        return Jet1(tuple(c))
+        return Jet1.from_terms([(power, coeff)], truncation)
 
     @staticmethod
     def from_terms(terms: Iterable[Tuple[int, Scalar]], truncation: int) -> "Jet1":
@@ -160,69 +242,33 @@ class Jet1:
             raise IndexError(f"degree {k} outside truncation {self.truncation}")
         return self.coeffs[k]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def order(self) -> ExtOrder:
-        """Smallest degree with a nonzero coefficient (ABOVE_TRUNCATION if none)."""
+    def terms(self):
+        """Yield (k, coeff) over nonzero coefficients, by increasing degree."""
         for k, c in enumerate(self.coeffs):
             if c != 0:
-                return k
-        return ABOVE_TRUNCATION
+                yield k, c
+
+    def render(self, var: str = "t") -> str:
+        return _render_terms((c, ((var, k),)) for k, c in self.terms())
 
     def degree(self) -> ExtOrder:
         """Largest stored degree with a nonzero coefficient."""
-        for k in range(self.truncation, -1, -1):
-            if self.coeffs[k] != 0:
-                return k
-        return ABOVE_TRUNCATION
+        return max((k for k, _ in self.terms()), default=ABOVE_TRUNCATION)
 
     # -- ring operations -----------------------------------------------------
-
-    def _require_same(self, other: "Jet1") -> None:
-        if self.truncation != other.truncation:
-            raise TruncationMismatch(
-                f"truncation {self.truncation} vs {other.truncation}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, Jet1):
-            self._require_same(other)
-            return Jet1(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Jet1):
-            self._require_same(other)
-            return Jet1(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-        return NotImplemented
-
-    def __neg__(self):
-        return Jet1(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Jet1):
             self._require_same(other)
             K = self.truncation
             out = [Fraction(0)] * (K + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
+            for i, a in self.terms():
                 for j in range(0, K + 1 - i):
                     b = other.coeffs[j]
                     if b != 0:
                         out[i + j] += a * b
             return Jet1(tuple(out))
-        if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return Jet1(tuple(a * f for a in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+        return self._scale(other)
 
     # -- calculus --------------------------------------------------------------
 
@@ -236,11 +282,9 @@ class Jet1:
         """Jet of ``int_0^t s^ell * self(s) ds``; truncation rises to K + ell + 1."""
         if ell < 0:
             raise ValueError("negative weight")
-        K = self.truncation
-        out = [Fraction(0)] * (K + ell + 2)
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                out[k + ell + 1] = c / (k + ell + 1)
+        out = [Fraction(0)] * (self.truncation + ell + 2)
+        for k, c in self.terms():
+            out[k + ell + 1] = c / (k + ell + 1)
         return Jet1(tuple(out))
 
     def compose(self, phi: "Jet1") -> "Jet1":
@@ -290,21 +334,6 @@ class Jet1:
             return None
         return Jet1(tuple(self.coeffs[e:]))
 
-    # -- misc --------------------------------------------------------------------
-
-    def truncate(self, new_truncation: int) -> "Jet1":
-        if new_truncation > self.truncation:
-            raise JetDomainError("cannot raise a truncation order")
-        return Jet1(self.coeffs[: new_truncation + 1])
-
-    def render(self, var: str = "t") -> str:
-        return _render_terms(
-            ((c, ((var, k),)) for k, c in enumerate(self.coeffs) if c != 0)
-        )
-
-    def __str__(self):
-        return self.render()
-
 
 # --------------------------------------------------------------------------
 # two variables
@@ -321,7 +350,7 @@ def _tri_index(i: int, j: int) -> int:
 
 
 @dataclass(frozen=True)
-class Jet2:
+class Jet2(_Jet):
     """Truncated power series in two variables, stored as a dense triangular table.
 
     ``coefficient(i, j)`` is the coefficient of ``x**i * y**j``; all bidegrees
@@ -336,45 +365,30 @@ class Jet2:
         if self.truncation < 0:
             raise ValueError("negative truncation")
         if self.truncation > MAX_TRUNCATION_2:
-            raise ValueError(
-                f"two-variable jets support total degree <= {MAX_TRUNCATION_2}"
-            )
+            raise ValueError(f"two-variable jets support total degree <= {MAX_TRUNCATION_2}")
         if len(self.coeffs) != _tri_size(self.truncation):
             raise ValueError("coefficient table does not match truncation")
+
+    _size = staticmethod(_tri_size)
+
+    @staticmethod
+    def _make(coeffs: Tuple[Fraction, ...], truncation: int) -> "Jet2":
+        return Jet2(coeffs, truncation)
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def zero(truncation: int) -> "Jet2":
-        return Jet2((Fraction(0),) * _tri_size(truncation), truncation)
-
-    @staticmethod
-    def constant(value: Scalar, truncation: int) -> "Jet2":
-        c = [Fraction(0)] * _tri_size(truncation)
-        c[0] = _frac(value)
-        return Jet2(tuple(c), truncation)
-
-    @staticmethod
     def variable(index: int, truncation: int) -> "Jet2":
-        if index == 0:
-            return Jet2.term(1, 1, 0, truncation)
-        if index == 1:
-            return Jet2.term(1, 0, 1, truncation)
-        raise ValueError("variable index must be 0 or 1")
+        if index not in (0, 1):
+            raise ValueError("variable index must be 0 or 1")
+        return Jet2.from_terms([(1, 0, 1) if index == 0 else (0, 1, 1)], truncation)
 
     @staticmethod
     def term(coeff: Scalar, i: int, j: int, truncation: int) -> "Jet2":
-        if i < 0 or j < 0:
-            raise ValueError("negative exponent")
-        c = [Fraction(0)] * _tri_size(truncation)
-        if i + j <= truncation:
-            c[_tri_index(i, j)] = _frac(coeff)
-        return Jet2(tuple(c), truncation)
+        return Jet2.from_terms([(i, j, coeff)], truncation)
 
     @staticmethod
-    def from_terms(
-        terms: Iterable[Tuple[int, int, Scalar]], truncation: int
-    ) -> "Jet2":
+    def from_terms(terms: Iterable[Tuple[int, int, Scalar]], truncation: int) -> "Jet2":
         c = [Fraction(0)] * _tri_size(truncation)
         for i, j, coeff in terms:
             if i < 0 or j < 0:
@@ -392,15 +406,11 @@ class Jet2:
         deg = jet.degree()
         if isinstance(deg, int) and deg > truncation:
             raise JetDomainError("one-variable jet does not fit the target truncation")
-        if var == 0:
-            return Jet2.from_terms(
-                ((k, 0, c) for k, c in enumerate(jet.coeffs) if c != 0), truncation
-            )
-        if var == 1:
-            return Jet2.from_terms(
-                ((0, k, c) for k, c in enumerate(jet.coeffs) if c != 0), truncation
-            )
-        raise ValueError("variable index must be 0 or 1")
+        if var not in (0, 1):
+            raise ValueError("variable index must be 0 or 1")
+        return Jet2.from_terms(
+            ((k, 0, c) if var == 0 else (0, k, c) for k, c in jet.terms()), truncation
+        )
 
     # -- queries ---------------------------------------------------------------
 
@@ -419,66 +429,28 @@ class Jet2:
                     yield d - j, j, c
                 pos += 1
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def order(self) -> ExtOrder:
-        for i, j, _ in self.terms():
-            return i + j
-        return ABOVE_TRUNCATION
+    def render(self, vars: Tuple[str, str] = ("s", "t")) -> str:
+        return _render_terms((c, ((vars[0], i), (vars[1], j))) for i, j, c in self.terms())
 
     # -- ring operations ---------------------------------------------------------
 
-    def _require_same(self, other: "Jet2") -> None:
-        if self.truncation != other.truncation:
-            raise TruncationMismatch(
-                f"truncation {self.truncation} vs {other.truncation}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            self._require_same(other)
-            return Jet2(
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                self.truncation,
-            )
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Jet2):
-            self._require_same(other)
-            return Jet2(
-                tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                self.truncation,
-            )
-        return NotImplemented
-
-    def __neg__(self):
-        return Jet2(tuple(-a for a in self.coeffs), self.truncation)
+    # bound in this class's own namespace, where per-class method tracing finds them
+    __add__ = _Jet.__add__
+    __sub__ = _Jet.__sub__
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
             self._require_same(other)
             K = self.truncation
             out = [Fraction(0)] * _tri_size(K)
-            left = list(self.terms())
             right = list(other.terms())
-            for i1, j1, c1 in left:
+            for i1, j1, c1 in self.terms():
                 for i2, j2, c2 in right:
                     i, j = i1 + i2, j1 + j2
                     if i + j <= K:
                         out[_tri_index(i, j)] += c1 * c2
             return Jet2(tuple(out), K)
-        if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return Jet2(tuple(a * f for a in self.coeffs), self.truncation)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+        return self._scale(other)
 
     # -- calculus -------------------------------------------------------------------
 
@@ -590,24 +562,6 @@ class Jet2:
             result = result + c * (pow0[i] * pow1[j])
         return result
 
-    # -- misc -----------------------------------------------------------------------
-
-    def truncate(self, new_truncation: int) -> "Jet2":
-        if new_truncation > self.truncation:
-            raise JetDomainError("cannot raise a truncation order")
-        return Jet2(self.coeffs[: _tri_size(new_truncation)], new_truncation)
-
-    def render(self, vars: Tuple[str, str] = ("s", "t")) -> str:
-        return _render_terms(
-            (
-                (c, ((vars[0], i), (vars[1], j)))
-                for i, j, c in self.terms()
-            )
-        )
-
-    def __str__(self):
-        return self.render()
-
 
 # --------------------------------------------------------------------------
 # helpers
@@ -646,14 +600,8 @@ def _render_terms(terms) -> str:
     return out
 
 
-def align1(*jets: Jet1) -> Tuple[Jet1, ...]:
-    """Truncate one-variable jets to their common (minimal) truncation order."""
-    K = min(j.truncation for j in jets)
-    return tuple(j.truncate(K) for j in jets)
-
-
-def align2(*jets: Jet2) -> Tuple[Jet2, ...]:
-    """Truncate two-variable jets to their common (minimal) truncation order."""
+def align(*jets):
+    """Truncate jets of one kind to their common (minimal) truncation order."""
     K = min(j.truncation for j in jets)
     return tuple(j.truncate(K) for j in jets)
 
@@ -665,17 +613,9 @@ def equal_as_polynomials(a, b) -> bool:
     other's truncation (so both represent one polynomial of degree at most
     the smaller truncation).
     """
-    if isinstance(a, Jet1) and isinstance(b, Jet1):
-        K = min(a.truncation, b.truncation)
-        if a.coeffs[: K + 1] != b.coeffs[: K + 1]:
-            return False
-        return all(c == 0 for c in a.coeffs[K + 1 :]) and all(
-            c == 0 for c in b.coeffs[K + 1 :]
-        )
-    if isinstance(a, Jet2) and isinstance(b, Jet2):
-        K = min(a.truncation, b.truncation)
-        n = _tri_size(K)
-        if a.coeffs[:n] != b.coeffs[:n]:
-            return False
-        return all(c == 0 for c in a.coeffs[n:]) and all(c == 0 for c in b.coeffs[n:])
-    raise TypeError("mismatched jet kinds")
+    if not (isinstance(a, _Jet) and type(a) is type(b)):
+        raise TypeError("mismatched jet kinds")
+    n = a._size(min(a.truncation, b.truncation))
+    if a.coeffs[:n] != b.coeffs[:n]:
+        return False
+    return all(c == 0 for c in a.coeffs[n:]) and all(c == 0 for c in b.coeffs[n:])

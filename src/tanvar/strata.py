@@ -53,6 +53,8 @@ class CurveClass:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension parameter must be >= 1")
+        if self.depth is not None and self.depth > self.dimension:
+            raise ValueError(f"{self.description} curves need N >= {self.depth}")
 
     # -- constructors ------------------------------------------------------
 

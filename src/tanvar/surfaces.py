@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .jets import ABOVE_TRUNCATION, Jet2, JetDomainError, align2
+from .jets import ABOVE_TRUNCATION, Jet2, JetDomainError, align
 
 VAR_U, VAR_V = 0, 1
 
@@ -186,7 +186,7 @@ def slice_frontality_residuals(g1: Jet2, g2: Jet2, g3: Jet2) -> Tuple[Jet2, Jet2
     rv = g3.derivative(VAR_V) + g1.derivative(VAR_V).mul_monomial(1, 0) + g2.derivative(
         VAR_V
     ).mul_monomial(0, 1)
-    ru, rv = align2(ru, rv)
+    ru, rv = align(ru, rv)
     return ru, rv
 
 
@@ -333,8 +333,8 @@ def _legendre_form(lam, nu, var):
     for li, ni in zip(lam, nu):
         dl = li.derivative(var)
         dn = ni.derivative(var)
-        ni_t, dl_t = align2(ni, dl)
-        li_t, dn_t = align2(li, dn)
+        ni_t, dl_t = align(ni, dl)
+        li_t, dn_t = align(li, dn)
         term = ni_t * dl_t - li_t * dn_t
         acc = term if acc is None else acc + term
     return acc
@@ -364,8 +364,8 @@ def surface_tangent_map(
     if mu is None:
         mu = _potential(A, B)
     else:
-        dmu_u, A_t = align2(mu.derivative(VAR_U), A)
-        dmu_v, B_t = align2(mu.derivative(VAR_V), B)
+        dmu_u, A_t = align(mu.derivative(VAR_U), A)
+        dmu_v, B_t = align(mu.derivative(VAR_V), B)
         if not ((dmu_u - A_t).is_zero and (dmu_v - B_t).is_zero):
             raise LegendreConditionError("mu does not satisfy the contact relation")
 
@@ -381,7 +381,7 @@ def surface_tangent_map(
     first_order = {}
     for j, form in (("1", A), ("2", B)):
         var = VAR_U if j == "1" else VAR_V
-        dmu, form_t = align2(mu.derivative(var), form)
+        dmu, form_t = align(mu.derivative(var), form)
         first_order[j] = dmu - form_t
         residuals.append((f"ds{j}", first_order[j]))
     # du_j coefficients: base part repeats ds_j; s_k parts use second derivatives
@@ -392,9 +392,9 @@ def surface_tangent_map(
             for li, ni in zip(lam, nu):
                 dd_l = li.derivative(varj).derivative(vark)
                 dd_n = ni.derivative(varj).derivative(vark)
-                ni_t, dd_l_t = align2(ni, dd_l)
-                li_t, dd_n_t = align2(li, dd_n)
-                acc_t, term = align2(acc, ni_t * dd_l_t - li_t * dd_n_t)
+                ni_t, dd_l_t = align(ni, dd_l)
+                li_t, dd_n_t = align(li, dd_n)
+                acc_t, term = align(acc, ni_t * dd_l_t - li_t * dd_n_t)
                 acc = acc_t - term
             residuals.append((f"s{k}*du{j}", acc))
     verified = min(r.truncation for _, r in residuals)

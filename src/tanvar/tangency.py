@@ -25,6 +25,7 @@ from . import linalg
 from .curves import CurveGerm, NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
 from .jets import Jet1, Jet2, JetDomainError
 from .polys import Poly, solve_ratfun_system
+from .strata import MAX_TYPE_LENGTH
 
 # variable layout for tangent-map jets: index 0 is the line parameter s,
 # index 1 is the curve parameter t
@@ -61,7 +62,6 @@ class TangentMapGerm:
     components: Tuple[Jet2, ...]
     source: CurveGerm
     source_type: TypeSequence
-    frame: Tuple[Jet1, ...]  # gamma' / t^(a_1 - 1), per component
 
     @property
     def ambient_dim(self) -> int:
@@ -84,7 +84,6 @@ def tangent_map(germ: CurveGerm) -> TangentMapGerm:
     T2 = K - a1 + 1
     s = Jet2.variable(VAR_S, T2)
     comps: List[Jet2] = []
-    frame: List[Jet1] = []
     for idx, x in enumerate(germ.components):
         v = x.derivative().shift_down(a1 - 1)
         if v is None:
@@ -92,11 +91,10 @@ def tangent_map(germ: CurveGerm) -> TangentMapGerm:
                 idx,
                 f"component {idx + 1}: derivative not divisible by t^{a1 - 1}",
             )
-        frame.append(v)
         base = Jet2.from_jet1(x.truncate(T2), VAR_T, T2)
         ruling = s * Jet2.from_jet1(v, VAR_T, T2)
         comps.append(base + ruling)
-    return TangentMapGerm(tuple(comps), germ, t, tuple(frame))
+    return TangentMapGerm(tuple(comps), germ, t)
 
 
 def _wronskian(a1: Jet1, a2: Jet1, b1: Jet1, b2: Jet1) -> Jet1:
@@ -299,6 +297,9 @@ def opening_check(
 # closed-form versal openings of Morin polynomial maps
 # --------------------------------------------------------------------------
 
+#: most variables, k*(m+1), that a Morin table may have
+MAX_MORIN_VARIABLES = 256
+
 
 @dataclass(frozen=True)
 class MorinOpening:
@@ -329,6 +330,8 @@ def morin_versal_opening(k: int, m: int) -> MorinOpening:
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
+    if k * (m + 1) > MAX_MORIN_VARIABLES:
+        raise ValueError(f"variable count k*(m+1) = {k * (m + 1)} exceeds {MAX_MORIN_VARIABLES}")
     lam = [f"l{j}" for j in range(1, k)]
     mu = [[f"m{i}_{j}" for j in range(1, k + 1)] for i in range(1, m + 1)]
     variables = tuple(["t"] + lam + [name for row in mu for name in row])
@@ -427,6 +430,8 @@ def generating_family_tangent(A: TypeSequence) -> GeneratingFamilySolution:
     and columns scaled by powers of t, so its unique solution is this one,
     and each x_{j+1} is a polynomial of two monomials in (t, x_1).
     """
+    if len(A) > MAX_TYPE_LENGTH:
+        raise GeneratingFamilyError(f"type length {len(A)} exceeds {MAX_TYPE_LENGTH}")
     pattern = _match_pattern(A)
     entries = A.entries
     N = len(entries) - 1

@@ -27,7 +27,7 @@ from tanvar.curves import (
     curve_type,
     homogeneous_lift,
 )
-from tanvar.jets import Jet1, Jet2, align1, equal_as_polynomials
+from tanvar.jets import Jet1, Jet2, align, equal_as_polynomials
 from tanvar.strata import (
     CurveClass,
     Inadmissible,
@@ -477,7 +477,7 @@ def test_criterion_12_contact_curve_determinant_identity(rng):
                 d1 = f.derivative()
                 d2 = d1.derivative()
                 d3 = d2.derivative()
-                cols.append(align1(d1, d2, d3))
+                cols.append(align(d1, d2, d3))
             R = min(j.truncation for col in cols for j in col)
             (l1, l2, l3), (m1, m2, m3), (n1, n2, n3) = [
                 tuple(j.truncate(R) for j in col) for col in cols

@@ -84,6 +84,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
         (["enumerate", "--class", "contact", "--n", "600"], 1201),
         (["enumerate", "--class", "plain", "--N", "256"], 257),
         (["normal-form", "--singularity", "cuspidal-edge", "--ambient", "100000000"], 100000000),
+        (["family", "--type", ",".join(map(str, range(1, 258)))], 257),
     ],
 )
 def test_type_length_cap(argv, length):
@@ -135,6 +136,21 @@ def test_codim_general_flag_depth():
 def test_flag_depth_out_of_range(argv, k):
     message = "flag depth must satisfy 1 <= k <= N"
     argv = argv + ["--class", "flag", "--k", k]
+    assert run(argv) == (2, f"error: {message}\n")
+    code, out = run(argv + ["--format", "structured"])
+    assert (code, json.loads(out)) == (2, {"error": message})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codim", "--type", "1,2", "--class", "tpn"],
+        ["classify", "--type", "1,2", "--class", "tpn"],
+        ["enumerate", "--class", "tpn", "--N", "1"],
+    ],
+)
+def test_class_depth_above_dimension(argv):
+    message = "tangent-principal-normal-framed curves need N >= 2"
     assert run(argv) == (2, f"error: {message}\n")
     code, out = run(argv + ["--format", "structured"])
     assert (code, json.loads(out)) == (2, {"error": message})
@@ -215,6 +231,15 @@ def test_morin_report():
     assert "F: t*l1 + t^3" in out
     assert "F_(1): 1/3*t^3*l1 + 1/5*t^5" in out
     assert "F_(2): 1/4*t^4*l1 + 1/6*t^6" in out
+
+
+@pytest.mark.parametrize("k, m, count", [(257, 0, 257), (129, 1, 258), (2, 128, 258), (1, 256, 257)])
+def test_morin_variable_cap(k, m, count):
+    argv = ["morin", "--k", str(k), "--m", str(m)]
+    message = f"variable count k*(m+1) = {count} exceeds 256"
+    assert run(argv) == (2, f"error: {message}\n")
+    code, out = run(argv + ["--format", "structured"])
+    assert (code, json.loads(out)) == (2, {"error": message})
 
 
 def test_family_report():

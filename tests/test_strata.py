@@ -91,6 +91,14 @@ def test_flag_class_depth(N):
         assert CurveClass.flag(N, 3).describe() == f"flag-framed (k=3) (N={N})"
 
 
+def test_class_depth_above_dimension():
+    with pytest.raises(ValueError, match="tangent-principal-normal-framed curves need N >= 2"):
+        CurveClass.tpn_framed(1)
+    with pytest.raises(ValueError, match="dimension parameter must be >= 1"):
+        CurveClass.tpn_framed(0)
+    assert CurveClass.flag(1, 1) == CurveClass.tangent_framed(1)
+
+
 def test_codim_flag_full_depth_on_random_sequences(rng):
     for _ in range(1000):
         N = rng.randint(2, 6)

@@ -234,6 +234,12 @@ def test_morin_table_k1():
     assert mo.generator_count == 2
 
 
+def test_morin_variable_cap_boundary():
+    assert len(morin_versal_opening(2, 127).variables) == 256
+    with pytest.raises(ValueError, match=r"variable count k\*\(m\+1\) = 258 exceeds 256"):
+        morin_versal_opening(2, 128)
+
+
 def test_morin_table_k2_m1():
     mo = morin_versal_opening(2, 1)
     assert mo.variables == ("t", "l1", "m1_1", "m1_2")
