@@ -27,7 +27,7 @@ from .classify import (
     normal_form,
     normal_form_curve,
 )
-from .jets import ABOVE_TRUNCATION, Jet1, Jet2, TruncationMismatch
+from .jets import ABOVE_TRUNCATION, InvariantError, Jet1, Jet2, TruncationMismatch
 from .strata import (
     CLASSES,
     CurveClass,

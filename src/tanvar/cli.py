@@ -7,7 +7,9 @@ plain ``key: value`` lines.
 
 Exit codes: 0 on success, 2 on guard/validation failures (bad documents,
 violated preconditions, unsupported patterns), 3 when the analysis ends in
-an inconclusive or unclassified verdict.
+an inconclusive or unclassified verdict, or when an exact re-check inside
+the library fails (reported as ``internal error:``, see
+:class:`tanvar.jets.InvariantError`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .germdoc import (
     parse_rationals,
     split_documents,
 )
+from .jets import InvariantError
 from .mesh import sample_map, write_obj
 from .strata import CLASSES, MAX_TYPE_LENGTH, CurveClass, codimension, enumerate_generic
 from .surfaces import (
@@ -55,6 +58,8 @@ from .tangency import (
 Report = List[Tuple[str, object]]
 
 OK, GUARD, INCONCLUSIVE = 0, 2, 3
+#: an internal invariant failure reaches no verdict, like an inconclusive one
+INTERNAL = INCONCLUSIVE
 
 #: the library's own error classes all derive from ValueError
 _GUARD_ERRORS = (ValueError, ZeroDivisionError, OSError)
@@ -435,6 +440,9 @@ def _cmd_batch(args) -> Tuple[int, Report]:
         except _GUARD_ERRORS as exc:
             report.append((f"document {idx}", f"error: {exc}"))
             saw_error = True
+        except InvariantError as exc:
+            report.append((f"document {idx}", f"internal error: {exc}"))
+            saw_inconclusive = True
     if saw_error:
         return GUARD, report
     if saw_inconclusive:
@@ -578,6 +586,8 @@ def run(argv: Sequence[str]) -> Tuple[int, str]:
         code, report = handler(args)
     except _GUARD_ERRORS as exc:
         return GUARD, _render([("error", str(exc))], args.format)
+    except InvariantError as exc:
+        return INTERNAL, _render([("internal error", str(exc))], args.format)
     return code, _render(report, args.format)
 
 

@@ -53,6 +53,17 @@ class JetDomainError(ValueError):
     """Raised when an operation's precondition on the operands fails."""
 
 
+class InvariantError(RuntimeError):
+    """An identity the library guarantees by construction failed to hold.
+
+    Raised when an exact re-check after a computation (the contact pullback
+    of a completed surface, the frontality of a slice, the lift identity of
+    an opening certificate) finds a nonzero residual.  This is a bug in the
+    library, not bad input, so it deliberately does not derive from
+    ``ValueError``; the CLI reports it as ``internal error:`` with exit 3.
+    """
+
+
 class _AboveTruncation:
     """Order of a jet that vanishes identically within its truncation.
 
@@ -276,7 +287,7 @@ class Jet1(_Jet):
         """Formal derivative; the result has truncation one lower."""
         if self.truncation < 1:
             raise JetDomainError("cannot differentiate a truncation-0 jet")
-        return Jet1(tuple(Fraction(k) * self.coeffs[k] for k in range(1, self.truncation + 1)))
+        return Jet1(tuple(self.coeffs[k] * k for k in range(1, self.truncation + 1)))
 
     def weighted_integral(self, ell: int) -> "Jet1":
         """Jet of ``int_0^t s^ell * self(s) ds``; truncation rises to K + ell + 1."""
@@ -462,9 +473,9 @@ class Jet2(_Jet):
         out = [Fraction(0)] * _tri_size(K)
         for i, j, c in self.terms():
             if var == 0 and i >= 1:
-                out[_tri_index(i - 1, j)] = Fraction(i) * c
+                out[_tri_index(i - 1, j)] = c * i
             elif var == 1 and j >= 1:
-                out[_tri_index(i, j - 1)] = Fraction(j) * c
+                out[_tri_index(i, j - 1)] = c * j
         return Jet2(tuple(out), K)
 
     def weighted_integral(self, var: int, ell: int) -> "Jet2":

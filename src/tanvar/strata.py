@@ -213,20 +213,19 @@ def codimension(A: TypeSequence, cls: CurveClass) -> int:
 
 
 def _bounded_sequences(length: int) -> List[Tuple[int, ...]]:
-    """All strictly increasing positive sequences with a_i <= i + 2."""
-    out: List[Tuple[int, ...]] = []
+    """All strictly increasing positive sequences with a_i <= i + 2, in
+    lexicographic order.
 
-    def extend(prefix: Tuple[int, ...]):
-        i = len(prefix) + 1
-        if i > length:
-            out.append(prefix)
-            return
-        lo = prefix[-1] + 1 if prefix else 1
-        for a in range(lo, i + 3):
-            extend(prefix + (a,))
-
-    extend(())
-    return out
+    a_i - i is non-decreasing with values in {0, 1, 2}, so each sequence is
+    i for i <= p, i + 1 for p < i <= q and i + 2 beyond, for breakpoints
+    0 <= p <= q <= length; later breakpoints come first.
+    """
+    e0, e1, e2 = (tuple(range(1 + s, length + 1 + s)) for s in range(3))
+    return [
+        e0[:p] + e1[p:q] + e2[q:]
+        for p in range(length, -1, -1)
+        for q in range(length, p - 1, -1)
+    ]
 
 
 @lru_cache(maxsize=None)

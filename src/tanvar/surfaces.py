@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .jets import ABOVE_TRUNCATION, Jet2, JetDomainError, align
+from .jets import ABOVE_TRUNCATION, InvariantError, Jet2, JetDomainError, align
 
 VAR_U, VAR_V = 0, 1
 
@@ -103,7 +103,8 @@ def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
 
     Requires zero constant and linear parts and the integrability condition
     x3_v = x4_u (checked coefficientwise; the first offending coefficient is
-    reported).  The contact pullback vanishing is re-checked exactly.
+    reported).  The contact pullback vanishing is re-checked exactly; an
+    :class:`InvariantError` reports a failure.
     """
     if x3.truncation != x4.truncation:
         raise ValueError("x3 and x4 must share one truncation order")
@@ -114,7 +115,9 @@ def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
             or x.coefficient(0, 1) != 0
         ):
             raise ValueError("surface chart components need zero 1-jets")
-    diff = x3.derivative(VAR_V) - x4.derivative(VAR_U)
+    x3_u, x3_v = x3.derivative(VAR_U), x3.derivative(VAR_V)
+    x4_u, x4_v = x4.derivative(VAR_U), x4.derivative(VAR_V)
+    diff = x3_v - x4_u
     if not diff.is_zero:
         for i, j, c in diff.terms():
             raise ClosednessError((i, j), c)
@@ -122,14 +125,14 @@ def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
     b = x3.coefficient(1, 1)
     c = 2 * x3.coefficient(0, 2)
     e = 2 * x4.coefficient(0, 2)
-    A = x3 - x3.derivative(VAR_U).mul_monomial(1, 0) - x4.derivative(VAR_U).mul_monomial(0, 1)
-    B = x4 - x3.derivative(VAR_V).mul_monomial(1, 0) - x4.derivative(VAR_V).mul_monomial(0, 1)
+    A = x3 - x3_u.mul_monomial(1, 0) - x4_u.mul_monomial(0, 1)
+    B = x4 - x3_v.mul_monomial(1, 0) - x4_v.mul_monomial(0, 1)
     x5 = _potential(A, B)
     # contact pullback: theta_u = x5_u + u x3_u + v x4_u - x3 and its v-twin
     theta_u = x5.derivative(VAR_U) - A
     theta_v = x5.derivative(VAR_V) - B
     if not (theta_u.is_zero and theta_v.is_zero):
-        raise RuntimeError("contact pullback failed to vanish after integration")
+        raise InvariantError("contact pullback failed to vanish after integration")
     return LegendreSurfaceGerm((a, b, c, e), x3, x4, x5)
 
 
@@ -166,15 +169,15 @@ def ordinary_point_class(surface: LegendreSurfaceGerm) -> OrdinaryPointReport:
 def transversal_slice(surface: LegendreSurfaceGerm) -> Tuple[Jet2, Jet2, Jet2]:
     """Slice of the tangent map along s = -u, t = -v, as (g1, g2, g3).
 
-    The slice satisfies dg3 + u dg1 + v dg2 = 0 exactly; this is asserted
-    before returning.
+    The slice satisfies dg3 + u dg1 + v dg2 = 0 exactly; this is checked
+    before returning, and an :class:`InvariantError` reports a failure.
     """
     g1 = _euler_complement(surface.x3)
     g2 = _euler_complement(surface.x4)
     g3 = _euler_complement(surface.x5)
     res_u, res_v = slice_frontality_residuals(g1, g2, g3)
     if not (res_u.is_zero and res_v.is_zero):
-        raise RuntimeError("slice frontality identity failed")
+        raise InvariantError("slice frontality identity failed")
     return g1, g2, g3
 
 
@@ -220,7 +223,10 @@ def saji_verdict(
     The identifier is det(g_u, g_v, nu) with the unnormalized normal
     nu = (u, v, 1) by default (valid along tangent-variety slices); the
     Hessian determinant 4 q20 q02 - q11^2 of its quadratic part decides
-    the verdict.  The normal must annihilate dg, which is checked.
+    the verdict.  The normal must annihilate dg: that pairing is checked at
+    the full common truncation K of dg and nu.  lambda itself is formed from
+    the 2-jets of dg and nu only, which is exact, because the terms of degree
+    <= 2 of a product depend only on those of its factors.
     """
     g1, g2, g3 = g
     du = [x.derivative(VAR_U) for x in (g1, g2, g3)]
@@ -248,9 +254,9 @@ def saji_verdict(
             return SajiResult(
                 SajiTag.INCONCLUSIVE, None, "normal does not annihilate dg"
             )
-    lam = _det3((du, dv, nu))
-    if lam.truncation < 2:
+    if K < 2:
         raise JetDomainError("truncation too small for the quadratic part")
+    lam = _det3([[x.truncate(2) for x in col] for col in (du, dv, nu)])
     q20 = lam.coefficient(2, 0)
     q11 = lam.coefficient(1, 1)
     q02 = lam.coefficient(0, 2)

@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple, Union
 
 from . import linalg
 from .curves import CurveGerm, NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
-from .jets import Jet1, Jet2, JetDomainError
+from .jets import InvariantError, Jet1, Jet2, JetDomainError
 from .polys import Poly, solve_ratfun_system
 from .strata import MAX_TYPE_LENGTH
 
@@ -271,7 +271,7 @@ def opening_check(
 
     The multipliers are the Wronskian-quotient lift coefficients, embedded as
     two-variable jets constant in s.  Each certificate is re-verified before
-    being returned.
+    being returned; an :class:`InvariantError` reports a failure.
     """
     lift = grassmann_lift(tmap)
     if isinstance(lift, NotFrontalUpTo):
@@ -282,7 +282,7 @@ def opening_check(
     for i, pair in enumerate(lift):
         rs, rt = residuals[i]
         if not (rs.is_zero and rt.is_zero):
-            raise RuntimeError(
+            raise InvariantError(
                 f"lift identity failed for component {i + 3}: nonzero residual"
             )
         mult = (

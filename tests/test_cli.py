@@ -1,7 +1,9 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -288,6 +290,64 @@ def test_normal_form_reports_pinned():
     assert "".join(outs) == golden
 
 
+# tests/data/surface_reports.txt holds, for each dense document below, the
+# document and its `tanvar surface` report in both formats, each block headed
+# by a `### ` line; it was captured before the D4 verdict read 2-jets only.
+SURFACE_QUADS = [
+    ("hyperbolic", (2, 1, -1, 3)),
+    ("elliptic", (1, F(1, 2), -1, F(1, 3))),
+    ("parabolic", (0, 0, 1, 0)),
+    ("not ordinary", (2, 1, F(1, 2), F(1, 4))),
+]
+
+
+def _poly_text(terms):
+    monomials = (
+        " ".join([str(c)] + [x if k == 1 else f"{x}^{k}" for x, k in (("u", i), ("v", j)) if k])
+        for (i, j), c in terms
+    )
+    return " + ".join(monomials).replace("+ -", "- ")
+
+
+def dense_surface_document(quad, K):
+    """x3 = P_u, x4 = P_v for a potential P with every monomial of degree 4..K+1."""
+    a, b, c, e = (F(x) for x in quad)
+    P = {(3, 0): a / 6, (2, 1): b / 2, (1, 2): c / 2, (0, 3): e / 6}
+    for d in range(4, K + 2):
+        for j in range(d + 1):
+            i = d - j
+            P[i, j] = F((3 * i + 5 * j) % 7 - 3 or 2, 1 + (i + 2 * j) % 4)
+    x3, x4 = {}, {}
+    for (i, j), p in P.items():
+        if p and i:
+            x3[i - 1, j] = p * i
+        if p and j:
+            x4[i, j - 1] = p * j
+    return (
+        f"kind: surface\ntruncation: {K}\n"
+        f"x3: {_poly_text(sorted(x3.items()))}\nx4: {_poly_text(sorted(x4.items()))}\n"
+    )
+
+
+def surface_reports(tmp_path):
+    blocks = []
+    for K in (6, 12, 22):
+        for label, quad in SURFACE_QUADS:
+            doc = dense_surface_document(quad, K)
+            path = write(tmp_path, "s.germ", doc)
+            blocks.append(f"### {label}, truncation {K}\n{doc}")
+            for fmt in ("plain", "structured"):
+                code, out = run(["surface", path, "--format", fmt])
+                blocks.append(f"### {fmt}, exit {code}\n{out}")
+            assert f"ordinary class: {label}\n" in blocks[-2]  # the plain report
+    return "".join(blocks)
+
+
+def test_surface_reports_pinned(tmp_path):
+    golden = (pathlib.Path(__file__).parent / "data" / "surface_reports.txt").read_text()
+    assert surface_reports(tmp_path) == golden
+
+
 def test_normal_form_guards():
     code, out = run(["normal-form", "--singularity", "open-swallowtail", "--ambient", "3"])
     assert (code, out) == (2, "error: open swallowtail needs ambient dimension >= 4\n")
@@ -337,6 +397,84 @@ def test_batch_propagates_guard(tmp_path):
     assert code == 2
 
 
+# -- internal invariant failures ---------------------------------------------------
+
+
+def spoiled(check):
+    """(module, name, replacement) that makes one exact re-check find a residual."""
+    from tanvar import surfaces, tangency
+    from tanvar.jets import Jet2
+
+    if check == "pullback":
+        return surfaces, "_potential", lambda A, B: Jet2.zero(A.truncation + 1)
+    if check == "slice":
+        return (
+            surfaces,
+            "slice_frontality_residuals",
+            lambda g1, g2, g3: (Jet2.constant(1, g1.truncation - 1),) * 2,
+        )
+    real = tangency.lift_residuals
+
+    def lift_residuals(tmap, lift):
+        R, residuals = real(tmap, lift)
+        return R, tuple((rs + Jet2.constant(1, R), rt) for rs, rt in residuals)
+
+    return tangency, "lift_residuals", lift_residuals
+
+
+PULLBACK = "contact pullback failed to vanish after integration"
+INTERNAL_CASES = [
+    ("surface", HYPERBOLIC, "pullback", "internal error", PULLBACK),
+    ("surface", HYPERBOLIC, "slice", "internal error", "slice frontality identity failed"),
+    ("opening", CUSP, "lift", "internal error",
+     "lift identity failed for component 3: nonzero residual"),
+    ("batch", CUSP + "---\n" + HYPERBOLIC, "pullback", "document 2",
+     "internal error: " + PULLBACK),
+]
+
+
+@pytest.mark.parametrize("command, doc, check, key, message", INTERNAL_CASES)
+def test_internal_error_report(tmp_path, monkeypatch, command, doc, check, key, message):
+    monkeypatch.setattr(*spoiled(check))
+    path = write(tmp_path, "in.germ", doc)
+    code, out = run([command, path])
+    assert code == 3
+    assert out.splitlines()[-1] == f"{key}: {message}"
+    code, out = run([command, path, "--format", "structured"])
+    assert code == 3 and json.loads(out)[key] == message
+    if command != "batch":
+        assert out == json.dumps({key: message}, indent=2) + "\n"
+
+
+def test_internal_error_in_batch_ranks_below_guard(tmp_path, monkeypatch):
+    monkeypatch.setattr(*spoiled("pullback"))
+    text = HYPERBOLIC + "---\nkind: curve\ntruncation: 4\n"
+    code, out = run(["batch", write(tmp_path, "b.germs", text)])
+    assert code == 2
+    assert f"document 1: internal error: {PULLBACK}" in out
+    assert "document 2: error: " in out
+
+
+@pytest.mark.parametrize("command, doc, check, key, message", INTERNAL_CASES[1:])
+def test_internal_error_exits_without_traceback(tmp_path, command, doc, check, key, message):
+    script = (
+        "import sys, test_cli; setattr(*test_cli.spoiled(sys.argv[1])); "
+        "from tanvar.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    tests = pathlib.Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, check, command, write(tmp_path, "in.germ", doc)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": os.pathsep.join((str(SRC), str(tests)))},
+    )
+    assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (
+        3,
+        f"{key}: {message}",
+        "",
+    )
+
+
 # -- structured format, determinism, meshes ----------------------------------------------
 
 
@@ -374,8 +512,9 @@ def test_subprocess_determinism():
     import sys
 
     cmd = [sys.executable, "-m", "tanvar.cli", "enumerate", "--class", "osculating", "--N", "4"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    env = {"PYTHONPATH": str(SRC)}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 

@@ -291,6 +291,31 @@ def test_enumeration_matches_brute_force_over_wider_box():
         assert got == wide
 
 
+def _bounded_sequences_recursive(length: int):
+    """All strictly increasing positive sequences with a_i <= i + 2."""
+    out = []
+
+    def extend(prefix):
+        i = len(prefix) + 1
+        if i > length:
+            out.append(prefix)
+            return
+        lo = prefix[-1] + 1 if prefix else 1
+        for a in range(lo, i + 3):
+            extend(prefix + (a,))
+
+    extend(())
+    return out
+
+
+@pytest.mark.parametrize("length", range(1, 15))
+def test_bounded_sequences_match_recursive_search(length):
+    from tanvar.strata import _bounded_sequences
+
+    got = _bounded_sequences(length)
+    assert got == _bounded_sequences_recursive(length)
+    assert len(got) == (length + 1) * (length + 2) // 2
+
 def test_type_length_cap_matches_curve_truncation_cap():
     from tanvar.jets import MAX_TRUNCATION_1
     from tanvar.strata import MAX_TYPE_LENGTH

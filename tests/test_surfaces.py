@@ -1,13 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_fraction
-from tanvar.jets import Jet2, equal_as_polynomials
+from conftest import fractions, random_fraction
+from tanvar.jets import Jet2, JetDomainError, equal_as_polynomials
 from tanvar.surfaces import (
     ClosednessError,
     LegendreConditionError,
     OrdinaryPointClass,
+    SajiResult,
     SajiTag,
     SymMatrix3,
     VeroneseVerdict,
@@ -209,6 +212,156 @@ def test_hessian_equals_h_invariant(rng):
         elif rep.tag is OrdinaryPointClass.ELLIPTIC:
             assert v.tag is SajiTag.D4_MINUS
 
+
+def dense_surface(quad, trunc, rng):
+    """Surface with quadratic data quad and a dense potential up to degree trunc + 1."""
+    a, b, c, e = (F(x) for x in quad)
+    terms = [(3, 0, a / 6), (2, 1, b / 2), (1, 2, c / 2), (0, 3, e / 6)]
+    for d in range(4, trunc + 2):
+        terms += [(d - j, j, random_fraction(rng, nonzero=True)) for j in range(d + 1)]
+    P = Jet2.from_terms(terms, trunc + 1)
+    return complete_to_legendre(P.derivative(0), P.derivative(1))
+
+
+D4_QUADS = [
+    (OrdinaryPointClass.HYPERBOLIC, SajiTag.D4_PLUS, (2, 1, -1, 3)),
+    (OrdinaryPointClass.ELLIPTIC, SajiTag.D4_MINUS, (1, F(1, 2), -1, F(1, 3))),
+    (OrdinaryPointClass.PARABOLIC, SajiTag.INCONCLUSIVE, (0, 0, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("trunc", [6, 12, 22])
+@pytest.mark.parametrize("ordinary, tag, quad", D4_QUADS)
+def test_verdict_reads_only_the_low_order_slice(rng, trunc, ordinary, tag, quad):
+    s = dense_surface(quad, trunc, rng)
+    assert ordinary_point_class(s).tag is ordinary
+    g = transversal_slice(s)
+    assert g[0].truncation == trunc
+    full = saji_verdict(g)
+    low = saji_verdict(tuple(x.truncate(3) for x in g))
+    assert full.tag is low.tag is tag
+    assert full.hessian_determinant == low.hessian_determinant == h_invariant(s.quad)
+
+
+def _det3_full_order(cols):
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = cols
+    return (
+        a1 * (b2 * c3 - b3 * c2)
+        - a2 * (b1 * c3 - b3 * c1)
+        + a3 * (b1 * c2 - b2 * c1)
+    )
+
+
+def saji_verdict_full_order(g, normal=None):
+    """The verdict as first written: lambda from the full K-jets of dg and nu."""
+    g1, g2, g3 = g
+    du = [x.derivative(0) for x in (g1, g2, g3)]
+    dv = [x.derivative(1) for x in (g1, g2, g3)]
+    if any(x.coefficient(0, 0) != 0 for x in du + dv):
+        return SajiResult(
+            SajiTag.INCONCLUSIVE, None, "differential at the origin has rank > 0"
+        )
+    K = min(x.truncation for x in du + dv)
+    if normal is None:
+        nu = (
+            Jet2.variable(0, K),
+            Jet2.variable(1, K),
+            Jet2.constant(1, K),
+        )
+    else:
+        nu = tuple(normal)
+    K = min([K] + [x.truncation for x in nu])
+    du = [x.truncate(K) for x in du]
+    dv = [x.truncate(K) for x in dv]
+    nu = tuple(x.truncate(K) for x in nu)
+    for partials in (du, dv):
+        pairing = nu[0] * partials[0] + nu[1] * partials[1] + nu[2] * partials[2]
+        if not pairing.is_zero:
+            return SajiResult(
+                SajiTag.INCONCLUSIVE, None, "normal does not annihilate dg"
+            )
+    lam = _det3_full_order((du, dv, nu))
+    if lam.truncation < 2:
+        raise JetDomainError("truncation too small for the quadratic part")
+    q20 = lam.coefficient(2, 0)
+    q11 = lam.coefficient(1, 1)
+    q02 = lam.coefficient(0, 2)
+    hess = 4 * q20 * q02 - q11 * q11
+    if hess < 0:
+        return SajiResult(SajiTag.D4_PLUS, hess)
+    if hess > 0:
+        return SajiResult(SajiTag.D4_MINUS, hess)
+    return SajiResult(
+        SajiTag.INCONCLUSIVE, hess, "degenerate quadratic part (no verdict)"
+    )
+
+
+def _outcome(verdict, g, normal):
+    try:
+        return verdict(g, normal=normal)
+    except JetDomainError as exc:
+        return repr(exc)
+
+
+@st.composite
+def d4_inputs(draw):
+    """A three-component germ and a normal (None for the default (u, v, 1)).
+
+    Slices of Legendre surfaces, optionally moved by a target change of
+    coordinates, or three arbitrary jets; constant terms are dropped.  The
+    normal is the default or, when it exists, ``frontal_normal``.
+    """
+    trunc = draw(st.integers(2, 7))
+    coeff = fractions(max_num=4, max_den=3)
+    if draw(st.booleans()):
+        g = tuple(
+            Jet2.from_terms(
+                draw(st.lists(st.tuples(st.integers(0, trunc), st.integers(0, trunc), coeff),
+                              max_size=6)),
+                trunc,
+            )
+            for _ in range(3)
+        )
+    else:
+        quad = tuple(draw(coeff) for _ in range(4))
+        higher = draw(st.lists(st.tuples(st.integers(0, trunc + 1), st.integers(0, trunc + 1),
+                                         coeff), max_size=5))
+        P = Jet2.from_terms(
+            [(3, 0, quad[0] / 6), (2, 1, quad[1] / 2), (1, 2, quad[2] / 2), (0, 3, quad[3] / 6)]
+            + [(i, j, c) for i, j, c in higher if i + j >= 4],
+            trunc + 1,
+        )
+        g1, g2, g3 = transversal_slice(complete_to_legendre(P.derivative(0), P.derivative(1)))
+        K = g1.truncation
+        g2, g3 = g2.truncate(K), g3.truncate(K)
+        p, q, r = (draw(coeff) for _ in range(3))
+        g = (g1 + p * g3, g2 + q * g1 * g1, g3 + r * g1 * g2)
+    g = tuple(x - Jet2.from_terms([(0, 0, x.coefficient(0, 0))], x.truncation) for x in g)
+    normal = None
+    if draw(st.booleans()):
+        try:
+            normal = frontal_normal(g)
+        except JetDomainError:
+            pass
+    return g, normal
+
+
+@settings(max_examples=150, deadline=None)
+@given(d4_inputs())
+def test_verdict_matches_full_order_determinant(case):
+    g, normal = case
+    assert _outcome(saji_verdict, g, normal) == _outcome(saji_verdict_full_order, g, normal)
+
+
+def test_annihilation_is_checked_at_full_order(rng):
+    g = transversal_slice(dense_surface((2, 1, -1, 3), 12, rng))
+    K = g[0].truncation - 1
+    u, v = Jet2.variable(0, K), Jet2.variable(1, K)
+    # u^5 g3_u starts in degree 7: above the 2-jet that lambda is read from
+    nu = (u, v, Jet2.constant(1, K) + Jet2.term(1, 5, 0, K))
+    refused = saji_verdict(g, normal=nu)
+    assert (refused.tag, refused.reason) == (SajiTag.INCONCLUSIVE, "normal does not annihilate dg")
+    assert saji_verdict(g, normal=tuple(x.truncate(6) for x in nu)) == saji_verdict(g)
 
 # -- tangent maps over the Darboux chart ---------------------------------------------------
 
