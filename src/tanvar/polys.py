@@ -3,17 +3,17 @@
 Unlike the jets, these are honest polynomials (finitely many terms, no
 truncation).  They back the symbolic constructions of unbounded degree: the
 Morin ramification-module generator tables and the generating families with
-their eliminated parametrizations.  The family's envelope system reduces to
-one constant square system over Q, solved here through :mod:`tanvar.linalg`.
+their eliminated parametrizations.  The family's envelope system is solved
+here in closed form, by divided-difference weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import prod
+from typing import Dict, List, Sequence, Tuple, Union
 
-from . import linalg
 from .jets import _render_terms
 
 Scalar = Union[int, Fraction]
@@ -127,22 +127,22 @@ class Poly:
 
 
 def solve_ratfun_system(
-    matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Sequence[Scalar]]
-) -> Optional[List[List[Fraction]]]:
-    """Solve ``matrix * x = b`` over Q for every right-hand side ``b`` in ``rhs``.
+    exponents: Sequence[int], targets: Sequence[int]
+) -> List[List[Fraction]]:
+    """Solve sum_j falling(n_j, d) x_j = -falling(s, d), d < N, for each target s.
 
-    ``matrix`` is square, given as rows.  Returns one solution per
-    right-hand side, from a single elimination, or None when the matrix is
-    singular.  :func:`tanvar.tangency.generating_family_tangent` is the
-    caller; the benchmark's tracer (``perfbench/tracing.py``) binds this
-    name, so it stays.
+    falling(n, d) = n (n-1) ... (n-d+1); the N exponents n_j are distinct
+    integers and no target equals one of them.  The unique solution is
+
+        x_j = prod_k (s - n_k) / ((n_j - s) * prod_{k != j} (n_j - n_k)),
+
+    the divided-difference weights over (s, n_1..n_N) divided by that of s:
+    the weights annihilate every polynomial of degree < N, such as
+    falling(., d).  The benchmark's tracer binds this name, so it stays.
     """
-    n = len(matrix)
-    rows = [
-        {c: _frac(x) for c, x in enumerate([*matrix[r], *(b[r] for b in rhs)]) if x}
-        for r in range(n)
-    ]
-    order, pivots = linalg.eliminate(rows, range(n))
-    if len(pivots) < n:
-        return None
-    return [[rows[i].get(n + k, Fraction(0)) for i in order] for k in range(len(rhs))]
+    spreads = [prod(n - m for m in exponents if m != n) for n in exponents]
+    solutions = []
+    for s in targets:
+        lead = prod(s - m for m in exponents)
+        solutions.append([Fraction(lead, (n - s) * w) for n, w in zip(exponents, spreads)])
+    return solutions

@@ -67,12 +67,8 @@ def _potential(A: Jet2, B: Jet2) -> Jet2:
 
 
 def _euler_complement(x: Jet2) -> Jet2:
-    """X - u X_u - v X_v (kills linear parts, negates quadratic ones)."""
-    return (
-        x
-        - x.derivative(VAR_U).mul_monomial(1, 0)
-        - x.derivative(VAR_V).mul_monomial(0, 1)
-    )
+    """X - u X_u - v X_v: degree d scaled by 1 - d (kills linear parts, negates quadratics)."""
+    return Jet2.from_terms(((i, j, c * (1 - i - j)) for i, j, c in x.terms()), x.truncation)
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,16 @@ class LegendreSurfaceGerm:
 def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
     """Solve for x5 from (x3, x4) and package the integral surface germ.
 
-    Requires zero constant and linear parts and the integrability condition
-    x3_v = x4_u (checked coefficientwise; the first offending coefficient is
-    reported).  The contact pullback vanishing is re-checked exactly; an
-    :class:`InvariantError` reports a failure.
+    Requires truncation at least 2, zero constant and linear parts and the
+    integrability condition x3_v = x4_u (checked coefficientwise; the first
+    offending coefficient is reported), under which dx5 = A du + B dv with A
+    and B the Euler complements of x3 and x4.  The contact pullback vanishing
+    is re-checked exactly; an :class:`InvariantError` reports a failure.
     """
     if x3.truncation != x4.truncation:
         raise ValueError("x3 and x4 must share one truncation order")
+    if x3.truncation < 2:
+        raise ValueError("surface charts need truncation at least 2")
     for x in (x3, x4):
         if (
             x.coefficient(0, 0) != 0
@@ -115,9 +114,7 @@ def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
             or x.coefficient(0, 1) != 0
         ):
             raise ValueError("surface chart components need zero 1-jets")
-    x3_u, x3_v = x3.derivative(VAR_U), x3.derivative(VAR_V)
-    x4_u, x4_v = x4.derivative(VAR_U), x4.derivative(VAR_V)
-    diff = x3_v - x4_u
+    diff = x3.derivative(VAR_V) - x4.derivative(VAR_U)
     if not diff.is_zero:
         for i, j, c in diff.terms():
             raise ClosednessError((i, j), c)
@@ -125,8 +122,8 @@ def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
     b = x3.coefficient(1, 1)
     c = 2 * x3.coefficient(0, 2)
     e = 2 * x4.coefficient(0, 2)
-    A = x3 - x3_u.mul_monomial(1, 0) - x4_u.mul_monomial(0, 1)
-    B = x4 - x3_v.mul_monomial(1, 0) - x4_v.mul_monomial(0, 1)
+    A = _euler_complement(x3)
+    B = _euler_complement(x4)
     x5 = _potential(A, B)
     # contact pullback: theta_u = x5_u + u x3_u + v x4_u - x3 and its v-twin
     theta_u = x5.derivative(VAR_U) - A

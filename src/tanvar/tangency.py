@@ -106,10 +106,12 @@ def grassmann_lift(tmap: TangentMapGerm) -> Union[Tuple[LiftPair, ...], NotFront
 
     P_i = W_i2 / W_12 and Q_i = W_1i / W_12 with W_ij the 2x2 Wronskian of
     components i and j of the source curve.  Returns a frontality verdict
-    when a quotient does not exist at this truncation; raises when W_12
-    vanishes identically within truncation.
+    when a quotient does not exist at this truncation; raises for a curve of
+    one component, and when W_12 vanishes identically within truncation.
     """
     germ = tmap.source
+    if germ.ambient_dim < 2:
+        raise JetDomainError("the lift needs at least two curve components")
     K = germ.truncation
     d1 = [x.derivative().truncate(K - 2) for x in germ.components]
     d2 = [x.derivative().derivative() for x in germ.components]
@@ -364,7 +366,7 @@ def morin_versal_opening(k: int, m: int) -> MorinOpening:
 
 
 class GeneratingFamilyError(ValueError):
-    """Type outside the supported patterns, or a degenerate elimination."""
+    """Type outside the supported patterns, or longer than the type cap."""
 
 
 @dataclass(frozen=True)
@@ -401,13 +403,6 @@ def _match_pattern(A: TypeSequence) -> str:
     raise GeneratingFamilyError(f"type {A} matches none of the supported patterns")
 
 
-def _falling(n: int, d: int) -> int:
-    out = 1
-    for i in range(d):
-        out *= n - i
-    return out
-
-
 def generating_family_tangent(A: TypeSequence) -> GeneratingFamilySolution:
     """Solve the envelope system of the one-parameter family attached to a type.
 
@@ -421,12 +416,13 @@ def generating_family_tangent(A: TypeSequence) -> GeneratingFamilySolution:
         sum_j falling(e_j, d) t^(e_j - d) x_{j+1}
             = -falling(top, d) t^(top - d) - falling(e_0, d) t^(e_0 - d) x_1.
 
-    The substitution x_{j+1} = c_j t^(top - e_j) + l_j x_1 t^(e_0 - e_j) turns
-    row d into t^(top - d) and t^(e_0 - d) times one constant system
-    M[d][j] = falling(e_j, d), with right-hand sides -falling(top, d) and
-    -falling(e_0, d).  M is invertible: falling(e, d) is a monic polynomial
-    of degree d in e, so M is a unitriangular matrix times the Vandermonde
-    matrix of the distinct e_j.  The system over Q(t) is M with its rows
+    The substitution x_{j+1} = c_j t^(top - e_j) + l_j x_1 t^(e_0 - e_j)
+    turns row d into t^(top - d) and t^(e_0 - d) times two constant systems
+    sum_j falling(e_j, d) y_j = -falling(s, d) over the nodes e_1..e_N, with
+    target s = top for the c_j and s = e_0 for the l_j.  The type entries
+    strictly increase, so the nodes are distinct and both targets lie above
+    them; :func:`tanvar.polys.solve_ratfun_system` gives each solution in
+    closed form.  The system over Q(t) is this square system with its rows
     and columns scaled by powers of t, so its unique solution is this one,
     and each x_{j+1} is a polynomial of two monomials in (t, x_1).
     """
@@ -437,16 +433,11 @@ def generating_family_tangent(A: TypeSequence) -> GeneratingFamilySolution:
     N = len(entries) - 1
     top = entries[-1]
     exps = [top - entries[j] for j in range(N)] + [0]  # exponents of x_1..x_{N+1}
-    M = [[_falling(e, d) for e in exps[1:]] for d in range(N)]
-    const = [-_falling(top, d) for d in range(N)]
-    lin = [-_falling(exps[0], d) for d in range(N)]
-    sol = solve_ratfun_system(M, [const, lin])
-    if sol is None:
-        raise GeneratingFamilyError("singular elimination system")
+    const, lin = solve_ratfun_system(exps[1:], [top, exps[0]])
     out_vars = ("t", "x1")
     solved = tuple(
         Poly._normal(out_vars, {(top - e, 0): c, (exps[0] - e, 1): l})
-        for e, c, l in zip(exps[1:], *sol)
+        for e, c, l in zip(exps[1:], const, lin)
     )
     fam_vars = tuple(["t"] + [f"x{j}" for j in range(1, N + 2)])
     family = Poly.monomial(1, [top] + [0] * (N + 1), fam_vars)

@@ -189,6 +189,22 @@ def test_surface_closedness_guard(tmp_path):
     assert "error" in out
 
 
+@pytest.mark.parametrize("truncation", [0, 1])
+def test_surface_truncation_below_two_is_refused(tmp_path, truncation):
+    doc = write(tmp_path, "s.germ", f"kind: surface\ntruncation: {truncation}\nx3: 0\nx4: 0\n")
+    message = "surface charts need truncation at least 2"
+    assert run(["surface", doc]) == (2, f"error: {message}\n")
+    assert run(["batch", doc]) == (
+        2, f"command: batch\ndocuments: 1\ndocument 1: error: {message}\n"
+    )
+
+
+def test_surface_truncation_two_lacks_the_quadratic_part(tmp_path):
+    doc = write(tmp_path, "s.germ", "kind: surface\ntruncation: 2\nx3: 1/2 u^2\nx4: 1/2 v^2\n")
+    code, out = run(["surface", doc])
+    assert (code, out) == (2, "error: truncation too small for the quadratic part\n")
+
+
 def test_veronese_entries_flag():
     code, out = run(["veronese", "--entries", "1 0 0 1 0 0"])
     assert code == 0
@@ -225,6 +241,12 @@ def test_opening_not_finite_type_is_inconclusive(tmp_path):
         3,
         "command: opening\nverdict: germ is not of finite type within truncation 4\n",
     )
+
+
+def test_opening_one_component_curve_is_refused(tmp_path):
+    germ = write(tmp_path, "c.germ", "kind: curve\ntruncation: 2\ncomponent: 3 t^2\n")
+    code, out = run(["opening", germ])
+    assert (code, out) == (2, "error: the lift needs at least two curve components\n")
 
 
 def test_morin_report():

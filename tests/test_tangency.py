@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import random_germ_of_type
+from tanvar import linalg
 from tanvar.curves import CurveGerm, TypeSequence
 from tanvar.jets import Jet1, Jet2, equal_as_polynomials
+from tanvar.polys import solve_ratfun_system
+from tanvar.strata import MAX_TYPE_LENGTH
 from tanvar.tangency import (
     GeneratingFamilyError,
     NotFrontalUpTo,
@@ -313,14 +317,6 @@ def test_family_pattern_names():
     assert generating_family_tangent(TypeSequence.of(3, 4, 5)).pattern == "III(N=2)"
 
 
-def test_square_solve_over_q():
-    from tanvar.polys import solve_ratfun_system
-
-    # the first column needs a row exchange; both right-hand sides come back
-    assert solve_ratfun_system([[0, 2], [1, 1]], [[2, 3], [0, 1]]) == [[2, 1], [1, 0]]
-    assert solve_ratfun_system([[1, 2], [2, 4]], [[1, 2]]) is None
-
-
 def family_types(max_N, max_r=3):
     """Pattern I (r <= max_r), II and III type sequences with N <= max_N."""
     for N in range(1, max_N + 1):
@@ -329,6 +325,56 @@ def family_types(max_N, max_r=3):
         for i in range(N):
             yield tuple(range(1, i + 1)) + tuple(range(i + 2, N + 3))
         yield tuple(range(3, N + 4))
+
+
+def falling(n, d):
+    out = 1
+    for i in range(d):
+        out *= n - i
+    return out
+
+
+def family_system(entries):
+    """Node exponents of x2..x_{N+1} and the targets (top, e_0) of a family type."""
+    top = entries[-1]
+    exps = [top - a for a in entries[:-1]] + [0]
+    return exps[1:], [top, exps[0]]
+
+
+def dense_falling_solve(exponents, targets):
+    """Reference: the dense falling-factorial matrix M[d][j] = falling(n_j, d)
+    that ``generating_family_tangent`` eliminated before the closed form,
+    solved once per target by the general square solve in ``linalg``."""
+    N = len(exponents)
+    out = []
+    for s in targets:
+        rows = []
+        for d in range(N):
+            row = [*(falling(n, d) for n in exponents), -falling(s, d)]
+            rows.append({c: F(v) for c, v in enumerate(row) if v})
+        out.append(linalg.solve(rows, N))
+    return out
+
+
+def test_family_solve_matches_dense_elimination():
+    for entries in family_types(12):
+        exponents, targets = family_system(entries)
+        assert solve_ratfun_system(exponents, targets) == dense_falling_solve(
+            exponents, targets
+        ), entries
+
+
+def test_family_solve_exact_at_type_cap():
+    exponents, targets = family_system(tuple(range(1, MAX_TYPE_LENGTH + 1)))
+    N = len(exponents)
+    for s, xs in zip(targets, solve_ratfun_system(exponents, targets)):
+        # clear denominators so that each equation is checked in integers
+        den = math.lcm(*(x.denominator for x in xs))
+        ys = [x.numerator * (den // x.denominator) for x in xs]
+        column = [1] * N  # falling(n_j, d), advanced one d at a time
+        for d in range(N):
+            assert sum(f * y for f, y in zip(column, ys)) == -falling(s, d) * den, (s, d)
+            column = [f * (n - d) for f, n in zip(column, exponents)]
 
 
 def substitute_solved(p, sol):
