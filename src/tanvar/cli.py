@@ -1,9 +1,9 @@
 """Command-line frontend.
 
-Subcommands: type, classify, enumerate, codim, tangent, surface, veronese,
-opening, morin, family, normal-form, batch.  Reports are printed to stdout
-in a deterministic order; ``--format structured`` emits JSON instead of
-plain ``key: value`` lines.
+Each subcommand is declared once, in :data:`COMMANDS`, with its help line,
+arguments and handler; the parser and dispatch read nothing else.  Reports
+are printed to stdout in a deterministic order; ``--format structured``
+emits JSON instead of plain ``key: value`` lines.
 
 Exit codes: 0 on success, 2 on guard/validation failures (bad documents,
 violated preconditions, unsupported patterns), 3 when the analysis ends in
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classify import SINGULARITY_SLUGS, SingularityClass, classify, normal_form
 from .curves import NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
@@ -45,7 +45,6 @@ from .surfaces import (
     veronese_membership,
 )
 from .tangency import (
-    DivisibilityError,
     NotFrontalUpTo,
     generating_family_tangent,
     grassmann_lift,
@@ -56,6 +55,19 @@ from .tangency import (
 )
 
 Report = List[Tuple[str, object]]
+#: one ``add_argument`` call: its flags and keyword options
+Arg = Tuple[Tuple[str, ...], dict]
+
+
+class Subcommand(NamedTuple):
+    """One ``tanvar`` subcommand.  The handler returns an exit code and the
+    report below its ``command`` line, which :func:`run` prepends."""
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], Tuple[int, Report]]
+    arguments: Tuple[Arg, ...]
+
 
 OK, GUARD, INCONCLUSIVE = 0, 2, 3
 #: an internal invariant failure reaches no verdict, like an inconclusive one
@@ -97,7 +109,13 @@ def _class_for(args, type_length: int) -> CurveClass:
                 )
             n = (type_length - 1) // 2
         return CurveClass.contact_osculating(n)
-    N = type_length - 1 if args.N is None else args.N
+    N = args.N
+    if N is None:
+        if type_length < 2:
+            raise GermDocumentError(
+                f"type of length {type_length}: a curve needs at least two components"
+            )
+        N = type_length - 1
     if args.curve_class == "flag":
         if args.k is None:
             raise GermDocumentError("--class flag needs --k")
@@ -126,7 +144,7 @@ def _extend_to_ambient(A: TypeSequence, ambient: Optional[int]) -> TypeSequence:
 def _cmd_type(args) -> Tuple[int, Report]:
     germ = build_curve(parse_document(_read_input(args.input)))
     verdict = curve_type(germ)
-    report: Report = [("command", "type"), ("ambient", germ.ambient_dim)]
+    report: Report = [("ambient", germ.ambient_dim)]
     if isinstance(verdict, NotFiniteTypeUpTo):
         report.append(("verdict", f"not finite type up to truncation {verdict.truncation}"))
         report.append(
@@ -138,22 +156,20 @@ def _cmd_type(args) -> Tuple[int, Report]:
 
 
 def _cmd_classify(args) -> Tuple[int, Report]:
-    if args.type:
+    if args.type is not None:
         A = _parse_type(args.type)
     else:
         germ = build_curve(parse_document(_read_input(args.input)))
         verdict = curve_type(germ)
         if isinstance(verdict, NotFiniteTypeUpTo):
             return INCONCLUSIVE, [
-                ("command", "classify"),
-                ("verdict", f"not finite type up to truncation {verdict.truncation}"),
+                ("verdict", f"not finite type up to truncation {verdict.truncation}")
             ]
         A = verdict
     A = _extend_to_ambient(A, args.ambient)
     cls = _class_for(args, len(A))
     result = classify(A, cls)
     report: Report = [
-        ("command", "classify"),
         ("type", A.render()),
         ("class", cls.describe()),
         ("singularity", result.singularity.value),
@@ -175,13 +191,11 @@ def _cmd_enumerate(args) -> Tuple[int, Report]:
             raise GermDocumentError("enumerate needs --N")
         cls = _class_for(args, args.N + 1)
     types = enumerate_generic(cls)
-    report: Report = [
-        ("command", "enumerate"),
+    return OK, [
         ("class", cls.describe()),
         ("count", len(types)),
         ("types", [A.render() for A in types]),
     ]
-    return OK, report
 
 
 def _cmd_codim(args) -> Tuple[int, Report]:
@@ -189,7 +203,6 @@ def _cmd_codim(args) -> Tuple[int, Report]:
     cls = _class_for(args, len(A))
     value = codimension(A, cls)
     return OK, [
-        ("command", "codim"),
         ("type", A.render()),
         ("class", cls.describe()),
         ("codimension", value),
@@ -230,18 +243,11 @@ def _write_mesh(args, components, provenance: str) -> Tuple[str, str]:
 
 def _cmd_tangent(args) -> Tuple[int, Report]:
     germ = build_curve(parse_document(_read_input(args.input)))
-    report: Report = [("command", "tangent"), ("ambient", germ.ambient_dim)]
+    report: Report = [("ambient", germ.ambient_dim)]
     try:
         tmap = tangent_map(germ)
     except NotFiniteTypeError as exc:
         report.append(("verdict", str(exc)))
-        return INCONCLUSIVE, report
-    except DivisibilityError as exc:
-        report.append(
-            ("verdict", f"not frontal up to truncation {germ.truncation}")
-        )
-        report.append(("component", exc.component_index + 1))
-        report.append(("detail", str(exc)))
         return INCONCLUSIVE, report
     A = tmap.source_type
     report.append(("type", A.render()))
@@ -275,7 +281,6 @@ def _cmd_surface(args) -> Tuple[int, Report]:
     a, b, c, e = surface.quad
     ordinary = ordinary_point_class(surface)
     report: Report = [
-        ("command", "surface"),
         ("quad", f"a={a} b={b} c={c} e={e}"),
         ("H", str(ordinary.h_invariant)),
         ("ordinary class", ordinary.tag.value),
@@ -306,16 +311,12 @@ def _cmd_veronese(args) -> Tuple[int, Report]:
     else:
         matrix = build_matrix(parse_document(_read_input(args.input)))
     verdict = veronese_membership(matrix)
-    return OK, [
-        ("command", "veronese"),
-        ("rank", matrix.rank()),
-        ("membership", _VERONESE_TEXT[verdict]),
-    ]
+    return OK, [("rank", matrix.rank()), ("membership", _VERONESE_TEXT[verdict])]
 
 
 def _cmd_opening(args) -> Tuple[int, Report]:
     germ = build_curve(parse_document(_read_input(args.input)))
-    report: Report = [("command", "opening")]
+    report: Report = []
     try:
         tmap = tangent_map(germ)
     except NotFiniteTypeError as exc:
@@ -342,7 +343,6 @@ def _cmd_opening(args) -> Tuple[int, Report]:
 def _cmd_morin(args) -> Tuple[int, Report]:
     opening = morin_versal_opening(args.k, args.m)
     report: Report = [
-        ("command", "morin"),
         ("k", opening.k),
         ("m", opening.m),
         ("generators (with 1)", opening.generator_count),
@@ -362,7 +362,6 @@ def _cmd_family(args) -> Tuple[int, Report]:
     A = _parse_type(args.type)
     solution = generating_family_tangent(A)
     report: Report = [
-        ("command", "family"),
         ("type", A.render()),
         ("pattern", solution.pattern),
         ("family", solution.family.render() + " = 0"),
@@ -380,11 +379,7 @@ def _cmd_normal_form(args) -> Tuple[int, Report]:
         )
     sing = SINGULARITY_SLUGS[slug]
     form = normal_form(sing, args.ambient)
-    report: Report = [
-        ("command", "normal-form"),
-        ("singularity", sing.value),
-        ("ambient", form.ambient_dim),
-    ]
+    report: Report = [("singularity", sing.value), ("ambient", form.ambient_dim)]
     for i, comp in enumerate(form.chart_st, start=1):
         report.append((f"(s,t) chart component {i}", comp.render(("s", "t"))))
     if form.chart_ux is not None:
@@ -405,7 +400,7 @@ def _cmd_batch(args) -> Tuple[int, Report]:
     chunks = split_documents(_read_input(args.input))
     if not chunks:
         raise GermDocumentError("batch input contains no documents")
-    report: Report = [("command", "batch"), ("documents", len(chunks))]
+    report: Report = [("documents", len(chunks))]
     saw_error = False
     saw_inconclusive = False
     for idx, chunk in enumerate(chunks, start=1):
@@ -455,113 +450,94 @@ def _cmd_batch(args) -> Tuple[int, Report]:
 # --------------------------------------------------------------------------
 
 
+def _arg(*flags: str, **options) -> Arg:
+    return flags, options
+
+
+_INPUT = _arg("input", nargs="?")
+_CLASS_FLAGS = (
+    _arg("--class", dest="curve_class", choices=tuple(CLASSES) + ("flag",), default="plain"),
+    _arg("--N", type=int),
+    _arg("--n", type=int),
+    _arg("--k", type=int),
+)
+_MESH_FLAGS = (
+    _arg("--mesh", help="write an OBJ mesh here"),
+    _arg("--coords", default="1,2,3"),
+    _arg("--range", default="-1:1"),
+    _arg("--grid", type=int, default=50),
+)
+#: added to every subcommand, after its own arguments
+_FORMAT = _arg("--format", choices=("plain", "structured"), default="plain")
+
+#: every subcommand in ``tanvar --help`` order
+COMMANDS = (
+    Subcommand("type", "type of a curve germ document", _cmd_type, (_INPUT,)),
+    Subcommand(
+        "classify",
+        "singularity of the tangent variety",
+        _cmd_classify,
+        (_INPUT, _arg("--type"), _arg("--ambient", type=int), *_CLASS_FLAGS),
+    ),
+    Subcommand("enumerate", "generic types of a curve class", _cmd_enumerate, _CLASS_FLAGS),
+    Subcommand(
+        "codim",
+        "stratum codimension of a type",
+        _cmd_codim,
+        (_arg("--type", required=True), *_CLASS_FLAGS),
+    ),
+    Subcommand(
+        "tangent",
+        "tangent map, lift orders, optional mesh",
+        _cmd_tangent,
+        (_INPUT, *_CLASS_FLAGS, *_MESH_FLAGS),
+    ),
+    Subcommand("surface", "integral surface analysis", _cmd_surface, (_INPUT,)),
+    Subcommand(
+        "veronese",
+        "rank-one quadric locus membership",
+        _cmd_veronese,
+        (_INPUT, _arg("--entries")),
+    ),
+    Subcommand("opening", "membership certificates of a tangent map", _cmd_opening, (_INPUT,)),
+    Subcommand(
+        "morin",
+        "versal opening generator table",
+        _cmd_morin,
+        (_arg("--k", type=int, required=True), _arg("--m", type=int, default=0)),
+    ),
+    Subcommand(
+        "family",
+        "tangent variety from its generating family",
+        _cmd_family,
+        (_arg("--type", required=True),),
+    ),
+    Subcommand(
+        "normal-form",
+        "normal-form charts of a singularity",
+        _cmd_normal_form,
+        (
+            _arg("--singularity", required=True),
+            _arg("--ambient", type=int, required=True),
+            *_MESH_FLAGS,
+        ),
+    ),
+    Subcommand("batch", "analyse several documents in one stream", _cmd_batch, (_INPUT,)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tanvar",
         description="Exact analysis of tangent varieties to curve and surface germs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format",
-            choices=("plain", "structured"),
-            default="plain",
-            dest="format",
-        )
-
-    def add_class_flags(p):
-        p.add_argument(
-            "--class",
-            dest="curve_class",
-            choices=tuple(CLASSES) + ("flag",),
-            default="plain",
-        )
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-
-    def add_mesh_flags(p):
-        p.add_argument("--mesh", default=None, help="write an OBJ mesh here")
-        p.add_argument("--coords", default="1,2,3")
-        p.add_argument("--range", default="-1:1")
-        p.add_argument("--grid", type=int, default=50)
-
-    p = sub.add_parser("type", help="type of a curve germ document")
-    p.add_argument("input", nargs="?", default=None)
-    add_format(p)
-
-    p = sub.add_parser("classify", help="singularity of the tangent variety")
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--type", default=None)
-    p.add_argument("--ambient", type=int, default=None)
-    add_class_flags(p)
-    add_format(p)
-
-    p = sub.add_parser("enumerate", help="generic types of a curve class")
-    add_class_flags(p)
-    add_format(p)
-
-    p = sub.add_parser("codim", help="stratum codimension of a type")
-    p.add_argument("--type", required=True)
-    add_class_flags(p)
-    add_format(p)
-
-    p = sub.add_parser("tangent", help="tangent map, lift orders, optional mesh")
-    p.add_argument("input", nargs="?", default=None)
-    add_class_flags(p)
-    add_mesh_flags(p)
-    add_format(p)
-
-    p = sub.add_parser("surface", help="integral surface analysis")
-    p.add_argument("input", nargs="?", default=None)
-    add_format(p)
-
-    p = sub.add_parser("veronese", help="rank-one quadric locus membership")
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--entries", default=None)
-    add_format(p)
-
-    p = sub.add_parser("opening", help="membership certificates of a tangent map")
-    p.add_argument("input", nargs="?", default=None)
-    add_format(p)
-
-    p = sub.add_parser("morin", help="versal opening generator table")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    add_format(p)
-
-    p = sub.add_parser("family", help="tangent variety from its generating family")
-    p.add_argument("--type", required=True)
-    add_format(p)
-
-    p = sub.add_parser("normal-form", help="normal-form charts of a singularity")
-    p.add_argument("--singularity", required=True)
-    p.add_argument("--ambient", type=int, required=True)
-    add_mesh_flags(p)
-    add_format(p)
-
-    p = sub.add_parser("batch", help="analyse several documents in one stream")
-    p.add_argument("input", nargs="?", default=None)
-    add_format(p)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flags, options in command.arguments + (_FORMAT,):
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=command.handler)
     return parser
-
-
-_HANDLERS = {
-    "type": _cmd_type,
-    "classify": _cmd_classify,
-    "enumerate": _cmd_enumerate,
-    "codim": _cmd_codim,
-    "tangent": _cmd_tangent,
-    "surface": _cmd_surface,
-    "veronese": _cmd_veronese,
-    "opening": _cmd_opening,
-    "morin": _cmd_morin,
-    "family": _cmd_family,
-    "normal-form": _cmd_normal_form,
-    "batch": _cmd_batch,
-}
 
 
 def _render(report: Report, fmt: str) -> str:
@@ -581,14 +557,13 @@ def run(argv: Sequence[str]) -> Tuple[int, str]:
     """Execute one CLI invocation; returns (exit code, report text)."""
     parser = build_parser()
     args = parser.parse_args(list(argv))
-    handler = _HANDLERS[args.command]
     try:
-        code, report = handler(args)
+        code, report = args.handler(args)
     except _GUARD_ERRORS as exc:
         return GUARD, _render([("error", str(exc))], args.format)
     except InvariantError as exc:
         return INTERNAL, _render([("internal error", str(exc))], args.format)
-    return code, _render(report, args.format)
+    return code, _render([("command", args.command)] + report, args.format)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

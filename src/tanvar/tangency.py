@@ -32,14 +32,6 @@ from .strata import MAX_TYPE_LENGTH
 VAR_S, VAR_T = 0, 1
 
 
-class DivisibilityError(ValueError):
-    """A component derivative is not divisible by the frame divisor."""
-
-    def __init__(self, component_index: int, message: str):
-        super().__init__(message)
-        self.component_index = component_index
-
-
 @dataclass(frozen=True)
 class NotFrontalUpTo:
     """Verdict: the Wronskian quotients do not exist within this truncation."""
@@ -87,10 +79,8 @@ def tangent_map(germ: CurveGerm) -> TangentMapGerm:
     for idx, x in enumerate(germ.components):
         v = x.derivative().shift_down(a1 - 1)
         if v is None:
-            raise DivisibilityError(
-                idx,
-                f"component {idx + 1}: derivative not divisible by t^{a1 - 1}",
-            )
+            # a1 is the least order of any component, so this cannot happen
+            raise InvariantError(f"component {idx + 1}: derivative not divisible by t^{a1 - 1}")
         base = Jet2.from_jet1(x.truncate(T2), VAR_T, T2)
         ruling = s * Jet2.from_jet1(v, VAR_T, T2)
         comps.append(base + ruling)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tanvar.cli import run
+from tanvar.cli import COMMANDS, run
 from tanvar.mesh import parse_obj
 
 CUSP = "kind: curve\ntruncation: 9\ncomponent: t\ncomponent: t^2\ncomponent: t^3\n"
@@ -249,6 +249,30 @@ def test_opening_one_component_curve_is_refused(tmp_path):
     assert (code, out) == (2, "error: the lift needs at least two curve components\n")
 
 
+@pytest.mark.parametrize("command", ["tangent", "classify"])
+def test_one_component_curve_is_refused(tmp_path, command):
+    germ = write(tmp_path, "c.germ", "kind: curve\ntruncation: 4\ncomponent: t^2\n")
+    message = "type of length 1: a curve needs at least two components"
+    assert run([command, germ]) == (2, f"error: {message}\n")
+    code, out = run([command, germ, "--format", "structured"])
+    assert (code, json.loads(out)) == (2, {"error": message})
+
+
+def test_explicit_zero_dimension_is_refused_by_the_class():
+    assert run(["classify", "--type", "2", "--N", "0"]) == (
+        2, "error: dimension parameter must be >= 1\n"
+    )
+
+
+def test_classify_empty_type_does_not_read_stdin(monkeypatch):
+    class Unreadable:
+        def read(self):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr("sys.stdin", Unreadable())
+    assert run(["classify", "--type", ""]) == (2, "error: cannot parse type ''\n")
+
+
 def test_morin_report():
     code, out = run(["morin", "--k", "2", "--m", "0"])
     assert code == 0
@@ -370,6 +394,20 @@ def test_surface_reports_pinned(tmp_path):
     assert surface_reports(tmp_path) == golden
 
 
+def test_help_pinned(monkeypatch, capsys):
+    # tests/data/cli_help.txt holds `tanvar --help` and each subcommand's
+    # `--help` at COLUMNS=80, each headed by a `### ` line with the invocation
+    monkeypatch.setenv("COLUMNS", "80")
+    blocks = []
+    for argv in [["--help"]] + [[command.name, "--help"] for command in COMMANDS]:
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 0
+        blocks.append(f"### tanvar {' '.join(argv)}\n{capsys.readouterr().out}")
+    golden = (pathlib.Path(__file__).parent / "data" / "cli_help.txt").read_text()
+    assert "".join(blocks) == golden
+
+
 def test_normal_form_guards():
     code, out = run(["normal-form", "--singularity", "open-swallowtail", "--ambient", "3"])
     assert (code, out) == (2, "error: open swallowtail needs ambient dimension >= 4\n")
@@ -423,12 +461,15 @@ def test_batch_propagates_guard(tmp_path):
 
 
 def spoiled(check):
-    """(module, name, replacement) that makes one exact re-check find a residual."""
+    """(module, name, replacement) that makes one exact re-check fail."""
     from tanvar import surfaces, tangency
+    from tanvar.curves import TypeSequence
     from tanvar.jets import Jet2
 
     if check == "pullback":
         return surfaces, "_potential", lambda A, B: Jet2.zero(A.truncation + 1)
+    if check == "divisor":
+        return tangency, "curve_type", lambda germ: TypeSequence((2, 3, 4))
     if check == "slice":
         return (
             surfaces,
@@ -448,6 +489,8 @@ PULLBACK = "contact pullback failed to vanish after integration"
 INTERNAL_CASES = [
     ("surface", HYPERBOLIC, "pullback", "internal error", PULLBACK),
     ("surface", HYPERBOLIC, "slice", "internal error", "slice frontality identity failed"),
+    ("tangent", CUSP, "divisor", "internal error",
+     "component 1: derivative not divisible by t^1"),
     ("opening", CUSP, "lift", "internal error",
      "lift identity failed for component 3: nonzero residual"),
     ("batch", CUSP + "---\n" + HYPERBOLIC, "pullback", "document 2",

@@ -1,17 +1,22 @@
-"""Exit-code contract under drawn input: every document, however malformed,
-ends in exit 0, 2 or 3 with a report, and the same invocation gives the same
-output twice."""
+"""Exit-code contract under drawn input: every invocation of every
+subcommand, however malformed its document or options, ends in exit 0, 2 or
+3 with a report, and the same invocation gives the same output twice."""
+
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanvar.cli import run
+from tanvar.classify import SINGULARITY_SLUGS
+from tanvar.cli import COMMANDS, run
+from tanvar.strata import CLASSES, MAX_TYPE_LENGTH
+from tanvar.tangency import MAX_MORIN_VARIABLES
 
 
 def sometimes(rare, usual, one_in=16):
     """``usual``, or ``rare`` about once in ``one_in`` draws, so that most
-    documents are well formed and reach a verdict."""
+    inputs are well formed and reach a verdict."""
     return st.integers(1, one_in).flatmap(lambda k: rare if k == one_in else usual)
 
 
@@ -67,23 +72,78 @@ matrix_docs = sometimes(
 ).map(lambda row: "kind: matrix\nentries: " + " ".join(row) + "\n")
 documents = curve_docs | surface_docs | matrix_docs | st.sampled_from(MALFORMED_DOCS)
 
-# the document kind each command reads; it is also handed any other kind
-COMMANDS = {
-    "type": curve_docs,
-    "classify": curve_docs,
-    "tangent": curve_docs,
-    "opening": curve_docs,
-    "surface": surface_docs,
-    "veronese": matrix_docs,
-    "batch": documents,
+
+def reading(docs, most=1):
+    """No options and up to ``most`` documents, usually drawn from ``docs``,
+    joined into the one input file the command reads."""
+    texts = st.lists(sometimes(documents, docs, 3), min_size=1, max_size=most)
+    return texts.map(lambda ts: ([], "---\n".join(ts)))
+
+
+def small(past_cap):
+    """A small integer, negative ones included, or now and then ``past_cap``,
+    the first value a cap refuses."""
+    return sometimes(st.just(past_cap), st.integers(-1, 6))
+
+
+def flag(name, values, required=False):
+    """``--name=value``; an optional flag is left out about one time in three."""
+    given = values.map(lambda v: [f"--{name}={v}"])
+    return given if required else sometimes(st.just([]), given, 3)
+
+
+def options(*flags):
+    """Command-line options only; no input file."""
+    return st.tuples(*flags).map(lambda fs: (sum(fs, []), None))
+
+
+PAST_CAP_TYPE = ",".join(map(str, range(1, MAX_TYPE_LENGTH + 2)))
+MALFORMED_TYPES = ["", ",", "1,,2", "2,1", "1,1", "0,1", "-1,2", "a", "1 2", "1.5,2", PAST_CAP_TYPE]
+types = sometimes(
+    st.sampled_from(MALFORMED_TYPES),
+    st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=1, max_size=6).map(
+        lambda gaps: ",".join(map(str, accumulate(gaps)))
+    ),
+    6,
+)
+class_flags = (
+    flag("class", st.sampled_from(tuple(CLASSES) + ("flag",))),
+    flag("N", small(MAX_TYPE_LENGTH)),
+    flag("n", small(MAX_TYPE_LENGTH // 2)),
+    flag("k", small(MAX_TYPE_LENGTH + 1)),
+)
+
+# every subcommand of cli.COMMANDS: what it is given, as (options, document)
+STRATEGIES = {
+    "type": reading(curve_docs),
+    "classify": reading(curve_docs),
+    "tangent": reading(curve_docs),
+    "opening": reading(curve_docs),
+    "surface": reading(surface_docs),
+    "veronese": reading(matrix_docs),
+    "batch": reading(documents, most=3),
+    "codim": options(flag("type", types, required=True), *class_flags),
+    "enumerate": options(*class_flags),
+    "morin": options(
+        flag("k", small(MAX_MORIN_VARIABLES + 1), required=True),
+        flag("m", small(MAX_MORIN_VARIABLES)),
+    ),
+    "family": options(flag("type", types, required=True)),
+    "normal-form": options(
+        flag("singularity", st.sampled_from([*SINGULARITY_SLUGS, "", "cusp"]), required=True),
+        flag("ambient", small(MAX_TYPE_LENGTH + 1), required=True),
+    ),
 }
+
+
+def test_every_subcommand_is_fuzzed():
+    assert sorted(STRATEGIES) == sorted(command.name for command in COMMANDS)
 
 
 @st.composite
 def invocations(draw):
-    command = draw(st.sampled_from(sorted(COMMANDS)))
-    docs = draw(st.lists(sometimes(documents, COMMANDS[command], 3), min_size=1, max_size=3))
-    return command, "---\n".join(docs) if command == "batch" else docs[0]
+    command = draw(st.sampled_from([c.name for c in COMMANDS]))
+    return (command, *draw(STRATEGIES[command]))
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +151,14 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.germ"
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(invocations())
 def test_exit_code_contract(doc_path, invocation):
-    command, text = invocation
-    doc_path.write_text(text)
-    first = run([command, str(doc_path)])
-    assert first[0] in (0, 2, 3), (command, text, first)
-    assert run([command, str(doc_path)]) == first
+    command, argv, text = invocation
+    argv = [command, *argv]
+    if text is not None:
+        doc_path.write_text(text)
+        argv.append(str(doc_path))
+    first = run(argv)
+    assert first[0] in (0, 2, 3), (argv, text, first)
+    assert run(argv) == first
