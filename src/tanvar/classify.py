@@ -3,20 +3,22 @@
 Every verdict here is a lookup in one table, :data:`NORMAL_FORM_TYPES`,
 backed by a classification statement; no diffeomorphism is certified
 numerically.  The table lists the nine classified singularities, each under
-the type of the monomial curve whose tangent map is its (s,t) normal form,
-so those charts are derived rather than stored.  In ambient dimension three
-the type determines the class directly; in higher ambient dimension the
-verdict depends only on a short leading prefix of the type, so appending
-further entries never changes it.  The type (2,3,5) is special: it is
-classified only within the contact-osculating class, and even there the
-type does not pin down the diffeomorphism class (exactly two classes
-occur), which the result reports as a caveat.
+the type of the monomial curve whose tangent map is its (s,t) normal form.
+Both normal-form charts, (s,t) and (u,x), are derived from that type rather
+than stored.  In ambient dimension three the type determines the class
+directly; in higher ambient dimension the verdict depends only on a short
+leading prefix of the type, so appending further entries never changes it.
+The type (2,3,5) is special: it is classified only within the
+contact-osculating class, and even there the type does not pin down the
+diffeomorphism class (exactly two classes occur), which the result reports
+as a caveat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from .curves import CurveGerm, TypeSequence
@@ -128,55 +130,6 @@ def normal_form_curve(A: TypeSequence, truncation: Optional[int] = None) -> Curv
 #: truncation order of every normal-form chart
 _TRUNCATION = 8
 
-# (u,x) charts: (coeff, u-exp, x-exp); not a function of the type
-_UX_CHARTS = {
-    SingularityClass.CUSPIDAL_EDGE: [
-        [(1, 1, 0)],
-        [(1, 0, 2)],
-        [(1, 0, 3)],
-    ],
-    SingularityClass.FOLDED_UMBRELLA: [
-        [(1, 1, 0)],
-        [(1, 0, 2), (1, 1, 1)],
-        [("1/2", 0, 4), ("1/3", 1, 3)],
-    ],
-    SingularityClass.SWALLOWTAIL: [
-        [(1, 1, 0)],
-        [(1, 0, 3), (1, 1, 1)],
-        [("3/4", 0, 4), ("1/2", 1, 2)],
-    ],
-    SingularityClass.MOND_SURFACE: [
-        [(1, 1, 0)],
-        [(1, 0, 3), (1, 1, 2)],
-        [("3/4", 0, 4), ("2/3", 1, 3)],
-    ],
-    SingularityClass.OPEN_SWALLOWTAIL: [
-        [(1, 1, 0)],
-        [(1, 0, 3), (1, 1, 1)],
-        [("3/4", 0, 4), ("1/2", 1, 2)],
-        [("3/5", 0, 5), ("1/3", 1, 3)],
-    ],
-    SingularityClass.OPEN_MOND_SURFACE: [
-        [(1, 1, 0)],
-        [(1, 0, 3), (1, 1, 2)],
-        [("3/4", 0, 4), ("2/3", 1, 3)],
-        [("3/5", 0, 5), ("1/2", 1, 4)],
-    ],
-    SingularityClass.OPEN_FOLDED_UMBRELLA: [
-        [(1, 1, 0)],
-        [(1, 0, 2), (1, 1, 1)],
-        [("1/2", 0, 4), ("1/3", 1, 3)],
-        [("2/5", 0, 5), ("1/4", 1, 4)],
-    ],
-    SingularityClass.UNFURLED_MOND_SURFACE: [
-        [(1, 1, 0)],
-        [(1, 0, 3), (1, 1, 2)],
-        [("3/4", 0, 4), ("2/3", 1, 3)],
-        [("1/2", 0, 6), ("2/5", 1, 5)],
-    ],
-}
-
-
 def normal_form_type(singularity: SingularityClass) -> TypeSequence:
     """The type under which ``singularity`` is listed in :data:`NORMAL_FORM_TYPES`."""
     for entries, sing in NORMAL_FORM_TYPES.items():
@@ -189,14 +142,37 @@ def _pad(comps, ambient: int) -> Tuple[Jet2, ...]:
     return tuple(comps) + (Jet2.zero(_TRUNCATION),) * (ambient - len(comps))
 
 
+def _ux_chart(A: TypeSequence) -> Tuple[Jet2, ...]:
+    """The (u,x) chart of the singularity listed under type A.
+
+    Component 1 is u and component i >= 2 is
+    (a2/a_i) x^{a_i} + ((a2 - a1)/(a_i - a1)) u x^{a_i - a1}, so the x-partial
+    of component i is x^{a_i - a1 - 1} (a2 x^{a1} + (a2 - a1) u).  The
+    cuspidal edge is the one exception: it keeps its classical chart
+    (u, x^2, x^3).
+    """
+    u = Jet2.variable(0, _TRUNCATION)
+    if A.entries == (1, 2, 3):
+        return (u, Jet2.term(1, 0, 2, _TRUNCATION), Jet2.term(1, 0, 3, _TRUNCATION))
+    a1, a2 = A[0], A[1]
+    return (u,) + tuple(
+        Jet2.from_terms(
+            [(0, a, Fraction(a2, a)), (1, a - a1, Fraction(a2 - a1, a - a1))], _TRUNCATION
+        )
+        for a in A[1:]
+    )
+
+
 def normal_form(singularity: SingularityClass, ambient_dim: int) -> NormalForm:
     """Exact parametrizations of a named singularity, padded with zeros.
 
     The (s,t) chart is the tangent map of the monomial curve of the
     singularity's type, which needs an ambient dimension of at least the
-    type's length.  The folded-pleat entry is a representative tangent map
-    only (its diffeomorphism class is not determined by the type); every
-    other entry is the classifying parametrization in both known charts.
+    type's length, and the (u,x) chart is derived from the same type.  The
+    folded-pleat entry is a representative tangent map only (its
+    diffeomorphism class is not determined by the type) and has no (u,x)
+    chart; every other entry is the classifying parametrization in both
+    charts.
     """
     A = normal_form_type(singularity)
     if ambient_dim < len(A):
@@ -207,18 +183,6 @@ def normal_form(singularity: SingularityClass, ambient_dim: int) -> NormalForm:
         raise ValueError(f"type length {ambient_dim} exceeds {MAX_TYPE_LENGTH}")
     curve = normal_form_curve(A, _TRUNCATION + A[0] - 1)
     chart_st = _pad(tangent_map(curve).components, ambient_dim)
-    chart_ux = None
-    if singularity in _UX_CHARTS:
-        chart_ux = _pad(
-            [
-                Jet2.from_terms([(i, j, c) for c, i, j in comp], _TRUNCATION)
-                for comp in _UX_CHARTS[singularity]
-            ],
-            ambient_dim,
-        )
-    caveat = (
-        TWO_CLASS_CAVEAT
-        if singularity is SingularityClass.GENERIC_FOLDED_PLEAT
-        else None
-    )
-    return NormalForm(singularity, ambient_dim, chart_st, chart_ux, caveat)
+    if singularity is SingularityClass.GENERIC_FOLDED_PLEAT:
+        return NormalForm(singularity, ambient_dim, chart_st, None, TWO_CLASS_CAVEAT)
+    return NormalForm(singularity, ambient_dim, chart_st, _pad(_ux_chart(A), ambient_dim))

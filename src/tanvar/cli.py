@@ -47,7 +47,6 @@ from .surfaces import (
 from .tangency import (
     NotFrontalUpTo,
     generating_family_tangent,
-    grassmann_lift,
     lift_verified_order,
     morin_versal_opening,
     opening_check,
@@ -255,15 +254,16 @@ def _cmd_tangent(args) -> Tuple[int, Report]:
     named = classify(A, cls)
     report.append(("singularity", named.singularity.value))
     report.append(("generic", "yes" if named.generic else "no"))
-    lift = grassmann_lift(tmap)
-    if isinstance(lift, NotFrontalUpTo):
-        report.append(("frontal", f"not frontal up to truncation {lift.truncation}"))
+    certs = opening_check(tmap)
+    if isinstance(certs, NotFrontalUpTo):
+        report.append(("frontal", f"not frontal up to truncation {certs.truncation}"))
         return INCONCLUSIVE, report
-    verified = lift_verified_order(tmap, lift)
+    verified = certs[0].verified_order if certs else lift_verified_order(tmap, ())
     report.append(("frontal", f"yes (lift verified to order {verified})"))
-    for i, pair in enumerate(lift, start=3):
-        report.append((f"order P{i}", str(pair.p.order())))
-        report.append((f"order Q{i}", str(pair.q.order())))
+    for i, cert in enumerate(certs, start=3):
+        p, q = cert.multipliers
+        report.append((f"order P{i}", str(p.order())))
+        report.append((f"order Q{i}", str(q.order())))
     if args.mesh:
         report.append(
             _write_mesh(

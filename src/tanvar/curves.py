@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .jets import Jet1, JetDomainError
+from .jets import Jet1, JetDomainError, TruncationMismatch
 from .linalg import RankTracker, eliminate
 
 
@@ -99,51 +99,42 @@ class CurveGerm:
         return self.components[0].truncation
 
 
-def _derivative_vectors(components: Sequence[Jet1], start: int):
-    """Coefficient vectors (c_{1,k}, ..., c_{m,k}) for k = start..K.
+def _rank_filtration(components: Sequence[Jet1]) -> Union[TypeSequence, NotFiniteTypeUpTo]:
+    """Type read off the degrees k >= 1 at which the coefficient vectors gain rank.
 
     The k-th derivative at 0 equals k! times the degree-k coefficient vector;
     the scaling is irrelevant for ranks, so the raw coefficients are used.
+    The degree-0 vector only seeds the span: it is zero for an affine germ
+    and the point itself for a homogeneous lift.
     """
     K = components[0].truncation
-    for k in range(start, K + 1):
-        yield k, [c.coefficient(k) for c in components]
+    tracker = RankTracker()
+    entries: List[int] = []
+    for k in range(K + 1):
+        if tracker.add([c.coefficient(k) for c in components]) and k > 0:
+            entries.append(k)
+            if tracker.rank == len(components):
+                return TypeSequence(tuple(entries))
+    return NotFiniteTypeUpTo(K)
 
 
 def curve_type(germ: CurveGerm) -> Union[TypeSequence, NotFiniteTypeUpTo]:
     """Type of the germ from the rank filtration of its derivative vectors at 0."""
-    tracker = RankTracker()
-    entries: List[int] = []
-    for k, vec in _derivative_vectors(germ.components, 1):
-        if tracker.add(vec):
-            entries.append(k)
-            if tracker.rank == germ.ambient_dim:
-                return TypeSequence(tuple(entries))
-    return NotFiniteTypeUpTo(germ.truncation)
+    return _rank_filtration(germ.components)
 
 
 def projective_type(lift: Sequence[Jet1]) -> Union[TypeSequence, NotFiniteTypeUpTo]:
     """Type computed from a homogeneous lift (the lift itself joins the matrix).
 
     a_i is the smallest r such that (lift, lift', ..., lift^(r)) has rank
-    i + 1 at t = 0.  The lift must not vanish at the origin.
+    i + 1 at t = 0.  The lift must not vanish at the origin, and its
+    components must share one truncation order.
     """
-    values = [c.coefficient(0) for c in lift]
-    if all(v == 0 for v in values):
+    if any(c.truncation != lift[0].truncation for c in lift):
+        raise TruncationMismatch("lift components must share one truncation order")
+    if all(c.coefficient(0) == 0 for c in lift):
         raise JetDomainError("homogeneous lift vanishes at t = 0")
-    m = len(lift)
-    tracker = RankTracker()
-    tracker.add(values)
-    entries: List[int] = []
-    K = lift[0].truncation
-    derivs = list(lift)
-    for r in range(1, K + 1):
-        derivs = [d.derivative() for d in derivs]
-        if tracker.add([d.coefficient(0) for d in derivs]):
-            entries.append(r)
-            if tracker.rank == m:
-                return TypeSequence(tuple(entries))
-    return NotFiniteTypeUpTo(K)
+    return _rank_filtration(lift)
 
 
 def homogeneous_lift(germ: CurveGerm) -> Tuple[Jet1, ...]:
@@ -230,12 +221,9 @@ def flag_lift(germ: CurveGerm) -> FlagFrame:
     and its scaled derivatives of orders a_1, ..., a_{N+1}.  All entries are
     aligned to the truncation of the highest derivative taken.
     """
-    t = curve_type(germ)
-    if isinstance(t, NotFiniteTypeUpTo):
-        raise NotFiniteTypeError(
-            f"germ is not of finite type within truncation {t.truncation}"
-        )
     normalized, _ = normalize(germ)
+    # component i of the normal shape is t^{a_i} plus higher terms
+    t = TypeSequence(tuple(x.order() for x in normalized.components))
     lift = homogeneous_lift(normalized)
     a_max = t.entries[-1]
     K_out = germ.truncation - a_max

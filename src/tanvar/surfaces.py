@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .jets import ABOVE_TRUNCATION, InvariantError, Jet2, JetDomainError, align
+from .jets import InvariantError, Jet2, JetDomainError, align
 
 VAR_U, VAR_V = 0, 1
 
@@ -178,16 +178,18 @@ def transversal_slice(surface: LegendreSurfaceGerm) -> Tuple[Jet2, Jet2, Jet2]:
     return g1, g2, g3
 
 
+def _partials(g: Sequence[Jet2]) -> Tuple[List[Jet2], List[Jet2]]:
+    """(g_u, g_v) of a germ of exactly three components, one list each."""
+    g1, g2, g3 = g
+    return tuple([x.derivative(var) for x in (g1, g2, g3)] for var in (VAR_U, VAR_V))
+
+
 def slice_frontality_residuals(g1: Jet2, g2: Jet2, g3: Jet2) -> Tuple[Jet2, Jet2]:
     """Components of dg3 + u dg1 + v dg2 (both vanish for genuine slices)."""
-    ru = g3.derivative(VAR_U) + g1.derivative(VAR_U).mul_monomial(1, 0) + g2.derivative(
-        VAR_U
-    ).mul_monomial(0, 1)
-    rv = g3.derivative(VAR_V) + g1.derivative(VAR_V).mul_monomial(1, 0) + g2.derivative(
-        VAR_V
-    ).mul_monomial(0, 1)
-    ru, rv = align(ru, rv)
-    return ru, rv
+    (u1, u2, u3), (v1, v2, v3) = _partials((g1, g2, g3))
+    ru = u3 + u1.mul_monomial(1, 0) + u2.mul_monomial(0, 1)
+    rv = v3 + v1.mul_monomial(1, 0) + v2.mul_monomial(0, 1)
+    return align(ru, rv)
 
 
 class SajiTag(Enum):
@@ -225,9 +227,7 @@ def saji_verdict(
     the 2-jets of dg and nu only, which is exact, because the terms of degree
     <= 2 of a product depend only on those of its factors.
     """
-    g1, g2, g3 = g
-    du = [x.derivative(VAR_U) for x in (g1, g2, g3)]
-    dv = [x.derivative(VAR_V) for x in (g1, g2, g3)]
+    du, dv = _partials(g)
     if any(x.coefficient(0, 0) != 0 for x in du + dv):
         return SajiResult(
             SajiTag.INCONCLUSIVE, None, "differential at the origin has rank > 0"
@@ -273,20 +273,15 @@ def frontal_normal(g: Sequence[Jet2]) -> Tuple[Jet2, Jet2, Jet2]:
     Divides g_u x g_v by its lowest-order component, producing an exact
     normal jet that is a unit vector field up to scale (one component is 1).
     """
-    g1, g2, g3 = g
-    du = [x.derivative(VAR_U) for x in (g1, g2, g3)]
-    dv = [x.derivative(VAR_V) for x in (g1, g2, g3)]
+    du, dv = _partials(g)
     cross = (
         du[1] * dv[2] - du[2] * dv[1],
         du[2] * dv[0] - du[0] * dv[2],
         du[0] * dv[1] - du[1] * dv[0],
     )
-    orders = [c.order() for c in cross]
-    finite = [o for o in orders if o is not ABOVE_TRUNCATION]
-    if not finite:
+    scale = min(cross, key=lambda c: c.order())  # the first of least order
+    if scale.is_zero:
         raise JetDomainError("degenerate differential: zero cross product")
-    best = min(range(3), key=lambda i: orders[i] if orders[i] is not ABOVE_TRUNCATION else 10 ** 9)
-    scale = cross[best]
     out = []
     for c in cross:
         q = c.divide(scale)

@@ -219,3 +219,70 @@ def test_tangent_map_matches_stored_charts():
         form = normal_form(sing, len(entries))
         for got, want in zip(tmap.components, form.chart_st):
             assert equal_as_polynomials(got, want), (entries, sing)
+
+
+# The (u,x) charts as they were stored before being derived from the type
+# table: (coeff, u-exp, x-exp) per term.  Kept as an oracle for the formula.
+_UX_CHARTS = {
+    S.CUSPIDAL_EDGE: [
+        [(1, 1, 0)],
+        [(1, 0, 2)],
+        [(1, 0, 3)],
+    ],
+    S.FOLDED_UMBRELLA: [
+        [(1, 1, 0)],
+        [(1, 0, 2), (1, 1, 1)],
+        [("1/2", 0, 4), ("1/3", 1, 3)],
+    ],
+    S.SWALLOWTAIL: [
+        [(1, 1, 0)],
+        [(1, 0, 3), (1, 1, 1)],
+        [("3/4", 0, 4), ("1/2", 1, 2)],
+    ],
+    S.MOND_SURFACE: [
+        [(1, 1, 0)],
+        [(1, 0, 3), (1, 1, 2)],
+        [("3/4", 0, 4), ("2/3", 1, 3)],
+    ],
+    S.OPEN_SWALLOWTAIL: [
+        [(1, 1, 0)],
+        [(1, 0, 3), (1, 1, 1)],
+        [("3/4", 0, 4), ("1/2", 1, 2)],
+        [("3/5", 0, 5), ("1/3", 1, 3)],
+    ],
+    S.OPEN_MOND_SURFACE: [
+        [(1, 1, 0)],
+        [(1, 0, 3), (1, 1, 2)],
+        [("3/4", 0, 4), ("2/3", 1, 3)],
+        [("3/5", 0, 5), ("1/2", 1, 4)],
+    ],
+    S.OPEN_FOLDED_UMBRELLA: [
+        [(1, 1, 0)],
+        [(1, 0, 2), (1, 1, 1)],
+        [("1/2", 0, 4), ("1/3", 1, 3)],
+        [("2/5", 0, 5), ("1/4", 1, 4)],
+    ],
+    S.UNFURLED_MOND_SURFACE: [
+        [(1, 1, 0)],
+        [(1, 0, 3), (1, 1, 2)],
+        [("3/4", 0, 4), ("2/3", 1, 3)],
+        [("1/2", 0, 6), ("2/5", 1, 5)],
+    ],
+}
+
+
+@pytest.mark.parametrize("sing", list(_UX_CHARTS))
+@pytest.mark.parametrize("padding", [0, 2])
+def test_derived_ux_charts_match_the_stored_table(sing, padding):
+    stored = _UX_CHARTS[sing]
+    form = normal_form(sing, len(stored) + padding)
+    expected = tuple(
+        Jet2.from_terms([(i, j, c) for c, i, j in comp], 8) for comp in stored
+    ) + (Jet2.zero(8),) * padding
+    assert form.chart_ux == expected
+
+
+def test_only_the_folded_pleat_lacks_a_ux_chart():
+    missing = [s for s in NORMAL_FORM_TYPES.values() if normal_form(s, 4).chart_ux is None]
+    assert missing == [S.GENERIC_FOLDED_PLEAT]
+    assert set(_UX_CHARTS) == set(NORMAL_FORM_TYPES.values()) - {S.GENERIC_FOLDED_PLEAT}

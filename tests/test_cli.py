@@ -491,6 +491,8 @@ INTERNAL_CASES = [
     ("surface", HYPERBOLIC, "slice", "internal error", "slice frontality identity failed"),
     ("tangent", CUSP, "divisor", "internal error",
      "component 1: derivative not divisible by t^1"),
+    ("tangent", CUSP, "lift", "internal error",
+     "lift identity failed for component 3: nonzero residual"),
     ("opening", CUSP, "lift", "internal error",
      "lift identity failed for component 3: nonzero residual"),
     ("batch", CUSP + "---\n" + HYPERBOLIC, "pullback", "document 2",

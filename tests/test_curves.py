@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_germ_of_type,
@@ -19,7 +21,8 @@ from tanvar.curves import (
     normalize,
     projective_type,
 )
-from tanvar.jets import Jet1
+from tanvar.jets import Jet1, JetDomainError
+from tanvar.linalg import RankTracker
 
 
 def germ(*term_lists, K=10):
@@ -152,7 +155,9 @@ def test_flag_frame_identity_at_origin_random(rng):
     for _ in range(20):
         entries = pool[rng.randrange(len(pool))]
         g = random_germ_of_type(rng, entries, max(entries) + 4)
-        at0 = flag_lift(g).at_zero()
+        frame = flag_lift(g)
+        assert frame.source_type == TypeSequence.of(*entries)
+        at0 = frame.at_zero()
         for j, col in enumerate(at0):
             for i, entry in enumerate(col):
                 assert entry == (1 if i == j else 0)
@@ -188,6 +193,61 @@ def test_projective_type_matches_affine_type(rng):
         entries = pool[rng.randrange(len(pool))]
         g = random_germ_of_type(rng, entries, max(entries) + 4)
         assert projective_type(homogeneous_lift(g)) == curve_type(g)
+
+
+def projective_type_by_derivatives(lift):
+    """projective_type as first written: differentiates the whole lift K times."""
+    values = [c.coefficient(0) for c in lift]
+    if all(v == 0 for v in values):
+        raise JetDomainError("homogeneous lift vanishes at t = 0")
+    m = len(lift)
+    tracker = RankTracker()
+    tracker.add(values)
+    entries = []
+    K = lift[0].truncation
+    derivs = list(lift)
+    for r in range(1, K + 1):
+        derivs = [d.derivative() for d in derivs]
+        if tracker.add([d.coefficient(0) for d in derivs]):
+            entries.append(r)
+            if tracker.rank == m:
+                return TypeSequence(tuple(entries))
+    return NotFiniteTypeUpTo(K)
+
+
+# few distinct coefficients, many zeros: rank deficiencies, and so gaps in the
+# type and lifts of infinite type, come up often
+_SPARSE = st.sampled_from([0, 0, 0, 0, 1, -1, 2, F(1, 2)])
+
+
+@st.composite
+def lifts(draw):
+    K = draw(st.integers(min_value=0, max_value=10))
+    m = draw(st.integers(min_value=1, max_value=5))
+    rows = [draw(st.lists(_SPARSE, min_size=K + 1, max_size=K + 1)) for _ in range(m)]
+    rows[0][0] = draw(st.sampled_from([1, -1, 3, F(2, 3)]))
+    if m > 1 and draw(st.booleans()):
+        # a repeated direction keeps the span short of full rank
+        rows[-1] = [2 * x for x in rows[draw(st.integers(0, m - 2))]]
+    return tuple(Jet1(tuple(F(x) for x in row)) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lifts())
+def test_projective_type_matches_the_derivative_definition(lift):
+    assert projective_type(lift) == projective_type_by_derivatives(lift)
+
+
+def test_projective_type_of_infinite_type_lift():
+    lift = (Jet1.from_terms([(0, 1), (2, 1)], 6), Jet1.from_terms([(0, 2), (2, 2)], 6))
+    assert projective_type(lift) == NotFiniteTypeUpTo(6)
+
+
+@pytest.mark.parametrize("other", [3, 9])
+def test_projective_type_refuses_mismatched_truncations(other):
+    lift = (Jet1.constant(1, 6), Jet1.term(1, 1, other), Jet1.term(1, 2, 6))
+    with pytest.raises(ValueError):
+        projective_type(lift)
 
 
 # -- invariance -------------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fractions, random_fraction
+from conftest import fractions, random_fraction, random_invertible_matrix
 from tanvar.jets import Jet2, JetDomainError, equal_as_polynomials
 from tanvar.surfaces import (
     ClosednessError,
@@ -241,6 +242,39 @@ def test_verdict_reads_only_the_low_order_slice(rng, trunc, ordinary, tag, quad)
     low = saji_verdict(tuple(x.truncate(3) for x in g))
     assert full.tag is low.tag is tag
     assert full.hessian_determinant == low.hessian_determinant == h_invariant(s.quad)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from([6, 8, 10]))
+def test_verdicts_invariant_under_linear_changes_of_the_potential(seed, trunc):
+    # H is 48 times the discriminant of the cubic part of P, which P o L
+    # scales by det(L)^6 > 0; the D4 tag follows the same sign
+    rng = random.Random(seed)
+    terms = [(3 - j, j, random_fraction(rng)) for j in range(4)]
+    terms += [
+        (d - j, j, random_fraction(rng))
+        for d in range(4, trunc + 2)
+        for j in range(d + 1)
+        if rng.random() < 0.3
+    ]
+    P = Jet2.from_terms(terms, trunc + 1)
+    m = random_invertible_matrix(rng, 2)
+    L = [Jet2.from_terms([(1, 0, row[0]), (0, 1, row[1])], trunc + 1) for row in m]
+    verdicts = []
+    for potential in (P, P.substitute(*L)):
+        s = complete_to_legendre(potential.derivative(0), potential.derivative(1))
+        verdicts.append(
+            (ordinary_point_class(s).tag, saji_verdict(transversal_slice(s)).tag)
+        )
+    assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("verdict", [saji_verdict, frontal_normal])
+def test_germs_of_other_than_three_components_are_refused(size, verdict):
+    g = (Jet2.variable(0, 4), Jet2.variable(1, 4)) + (Jet2.zero(4),) * (size - 2)
+    with pytest.raises(ValueError):
+        verdict(g)
 
 
 def _det3_full_order(cols):

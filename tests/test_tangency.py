@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_germ_of_type
+from conftest import random_fraction, random_germ_of_type, random_invertible_matrix
 from tanvar import linalg
 from tanvar.curves import CurveGerm, TypeSequence
 from tanvar.jets import Jet1, Jet2, equal_as_polynomials
@@ -188,6 +191,61 @@ def test_membership_order_12_on_tangent_map(rng):
         assert isinstance(cert, OpeningCertificate)
         assert cert.verified_order == 12
         assert verify_certificate(g, h, cert)
+
+
+def random_source_change(rng, K):
+    """phi = (phi0, phi1) with an invertible linear part and random terms of degree 2..3."""
+    m = random_invertible_matrix(rng, 2)
+    phi = []
+    for row in m:
+        terms = [(1, 0, row[0]), (0, 1, row[1])]
+        terms += [
+            (d - j, j, random_fraction(rng))
+            for d in (2, 3)
+            for j in range(d + 1)
+            if rng.random() < 0.3
+        ]
+        phi.append(Jet2.from_terms(terms, K))
+    return phi
+
+
+def membership_input(rng):
+    """(g, h) from a random tangent map f: g = (f1, f2), and h is f3, a polynomial in g or noise."""
+    entries = rng.choice([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 3, 5)])
+    tm = tangent_map(random_germ_of_type(rng, entries, rng.randint(6, 9)))
+    g = (tm.components[0], tm.components[1])
+    K = tm.truncation
+    kind = rng.randrange(3)
+    if kind == 0:
+        h = tm.components[2]
+    elif kind == 1:
+        h = rng.randint(-2, 2) * g[0] + g[0] * g[1]
+    else:
+        h = Jet2.from_terms(
+            [(d - j, j, random_fraction(rng)) for d in range(1, K + 1) for j in range(d + 1)
+             if rng.random() < 0.2],
+            K,
+        )
+    return g, h
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_membership_invariant_under_source_changes(seed):
+    # dh lies in the module of dg1, dg2 exactly when d(h o phi) lies in the
+    # module of d(g1 o phi), d(g2 o phi), order by order
+    rng = random.Random(seed)
+    g, h = membership_input(rng)
+    phi = random_source_change(rng, h.truncation)
+    moved_g = tuple(x.substitute(*phi) for x in g)
+    moved_h = h.substitute(*phi)
+    order = rng.randint(3, 6)
+    before = jacobi_membership(g, h, order)
+    after = jacobi_membership(moved_g, moved_h, order)
+    assert type(before) is type(after)
+    if isinstance(after, OpeningCertificate):
+        assert after.verified_order == before.verified_order
+        assert verify_certificate(moved_g, moved_h, after)
 
 
 def test_opening_check_cuspidal_edge():
