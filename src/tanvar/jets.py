@@ -9,7 +9,8 @@ particular
 * binary ring operations require both operands to share one truncation
   order and raise :class:`TruncationMismatch` otherwise,
 * differentiation lowers the truncation by one,
-* division lowers it by the order of the divisor,
+* division lowers it by the order of the divisor (two-variable jets divide
+  degree by degree through the one-variable recurrence, with no linear solve),
 * weighted integration raises it.
 
 The two-variable jets are stored as dense triangular coefficient tables
@@ -33,8 +34,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
-
-from . import linalg
 
 Scalar = Union[int, Fraction]
 
@@ -494,10 +493,13 @@ class Jet2(_Jet):
     def divide(self, other: "Jet2"):
         """Exact quotient q with self = q * other, or None when inconsistent.
 
-        Solved degree by degree: multiplication by the lowest-degree
-        homogeneous part of the divisor is injective, so the quotient is
-        unique whenever it exists.  The quotient carries truncation
-        ``K - ord(other)``.
+        Solved degree by degree with :meth:`Jet1.divide`, reading a form of degree n
+        as the polynomial in y whose y**j coefficient is that of x**(n-j) * y**j.
+        With g_d the lowest form of the divisor, the degree-m part q_m solves
+        q_m * g_d = r, r the degree-(m + d) part of self minus the lower parts of q
+        times the divisor.  Multiplication by g_d is injective, so r / g_d is the
+        only candidate, and q_m exists exactly when it has no coefficient above
+        degree m.  The quotient carries truncation ``K - ord(other)``.
         """
         self._require_same(other)
         d = other.order()
@@ -507,41 +509,22 @@ class Jet2(_Jet):
         nord = self.order()
         if isinstance(nord, int) and nord < d:
             return None
-        Kq = K - d
-        q = [Fraction(0)] * _tri_size(Kq)
-        qterms: list = []
-        for m in range(0, Kq + 1):
-            # unknowns: q_{(m-j, j)} for j = 0..m; equations: degree m+d of product
-            nunk = m + 1
-            rows = []
-            for eq_j in range(m + d + 1):
-                ai, aj = m + d - eq_j, eq_j
-                row = {}
-                for unk_j in range(nunk):
-                    bi, bj = ai - (m - unk_j), aj - unk_j
-                    if bi >= 0 and bj >= 0:
-                        bc = other.coeffs[_tri_index(bi, bj)]
-                        if bc:
-                            row[unk_j] = bc
-                acc = self.coeffs[_tri_index(ai, aj)]
-                # known lower-degree q contributions
-                for qi, qj, qc in qterms:
-                    bi, bj = ai - qi, aj - qj
-                    if bi >= 0 and bj >= 0 and bi + bj <= K:
-                        bc = other.coeffs[_tri_index(bi, bj)]
-                        if bc != 0:
-                            acc -= qc * bc
-                if acc:
-                    row[nunk] = acc
-                rows.append(row)
-            sol = linalg.solve(rows, nunk)
-            if isinstance(sol, linalg.Inconsistent):
+        forms: list = [[] for _ in range(K + 1)]  # the divisor's (j, c) by degree
+        for i, j, c in other.terms():
+            forms[i + j].append((j, c))
+        parts: list = []  # the (j, c) of q_0, q_1, ...
+        for m in range(K - d + 1):
+            n = m + d
+            r = [self.coefficient(n - j, j) for j in range(n + 1)]
+            for k, qk in enumerate(parts):
+                for j1, c1 in qk:
+                    for j2, c2 in forms[n - k]:
+                        r[j1 + j2] -= c1 * c2
+            cand = Jet1(tuple(r)).divide(Jet1.from_terms(forms[d], n))
+            if cand is None or any(j > m for j, _ in cand.terms()):
                 return None
-            for unk_j, val in enumerate(sol):
-                if val != 0:
-                    q[_tri_index(m - unk_j, unk_j)] = val
-                    qterms.append((m - unk_j, unk_j, val))
-        return Jet2(tuple(q), Kq)
+            parts.append(list(cand.terms()))
+        return Jet2.from_terms(((m - j, j, c) for m, qm in enumerate(parts) for j, c in qm), K - d)
 
     def mul_monomial(self, i: int, j: int) -> "Jet2":
         """Exact product with x**i * y**j; the truncation rises by i + j."""

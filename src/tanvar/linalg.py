@@ -1,11 +1,13 @@
 """Sparse exact Gaussian elimination over the rationals.
 
-Every exact linear solve in the library goes through this module.  A row is
-a ``dict`` from column index to a nonzero ``Fraction``; an absent column is
-zero, and no row operation reads or writes a zero entry.  The coefficient
-systems of jet arithmetic are almost entirely zero, so this is where their
-cost goes down.  An augmented system in ``n`` unknowns keeps its right-hand
-side in column ``n``.
+Every exact linear solve in the library goes through this module; its
+callers are the Jacobi-module membership solve, the rank filtration that
+reads a curve's type, and triangular normalization.  Jet arithmetic,
+division included, does not use it.  A row is a ``dict`` from column index
+to a nonzero ``Fraction``; an absent column is zero, and no row operation
+reads or writes a zero entry.  The coefficient systems built from jets are
+almost entirely zero, so this is where their cost goes down.  An augmented
+system in ``n`` unknowns keeps its right-hand side in column ``n``.
 
 The pivot rule is fixed, because refutation witnesses and minimal-degree
 multipliers are read off the eliminated rows: columns are visited in the

@@ -238,7 +238,6 @@ def _enumerate_cached(cls: CurveClass) -> Tuple[TypeSequence, ...]:
                 continue
         if codimension(A, cls) <= 1:
             result.append(A)
-    result.sort(key=lambda T: T.entries)
     return tuple(result)
 
 

@@ -95,19 +95,22 @@ def grassmann_lift(tmap: TangentMapGerm) -> Union[Tuple[LiftPair, ...], NotFront
     """Wronskian-quotient lift coefficients (P_i, Q_i) for components i >= 3.
 
     P_i = W_i2 / W_12 and Q_i = W_1i / W_12 with W_ij the 2x2 Wronskian of
-    components i and j of the source curve.  Returns a frontality verdict
-    when a quotient does not exist at this truncation; raises for a curve of
-    one component, and when W_12 vanishes identically within truncation.
+    components i and j of the source curve.  A plane curve needs no lift and
+    gets no pairs.  Returns a frontality verdict when W_12 vanishes
+    identically within truncation or a quotient does not exist at this
+    truncation; raises for a curve of one component.
     """
     germ = tmap.source
     if germ.ambient_dim < 2:
         raise JetDomainError("the lift needs at least two curve components")
+    if germ.ambient_dim == 2:
+        return ()
     K = germ.truncation
     d1 = [x.derivative().truncate(K - 2) for x in germ.components]
     d2 = [x.derivative().derivative() for x in germ.components]
     w12 = _wronskian(d1[0], d2[0], d1[1], d2[1])
     if w12.is_zero:
-        raise JetDomainError("W_12 vanishes identically within truncation")
+        return NotFrontalUpTo(K)
     pairs: List[LiftPair] = []
     for i in range(2, germ.ambient_dim):
         wi2 = _wronskian(d1[i], d2[i], d1[1], d2[1])
@@ -270,7 +273,6 @@ def opening_check(
         return lift
     R, residuals = lift_residuals(tmap, lift)
     certs = []
-    g = (tmap.components[0], tmap.components[1])
     for i, pair in enumerate(lift):
         rs, rt = residuals[i]
         if not (rs.is_zero and rt.is_zero):

@@ -249,6 +249,63 @@ def test_opening_one_component_curve_is_refused(tmp_path):
     assert (code, out) == (2, "error: the lift needs at least two curve components\n")
 
 
+LOW_TRUNCATION_LIFTS = [
+    # type (3,4,5): W_12 has order a1 + a2 - 3 = 4 > K - 2, so no quotient is known
+    (
+        "tangent",
+        "kind: curve\ntruncation: 5\ncomponent: t^3\ncomponent: t^4\ncomponent: t^5\n",
+        3,
+        {
+            "command": "tangent",
+            "ambient": 3,
+            "type": "(3,4,5)",
+            "singularity": "unclassified",
+            "generic": "no",
+            "frontal": "not frontal up to truncation 5",
+        },
+    ),
+    (
+        "opening",
+        "kind: curve\ntruncation: 5\ncomponent: t^3\ncomponent: t^4\ncomponent: t^5\n",
+        3,
+        {"command": "opening", "type": "(3,4,5)", "verdict": "not frontal up to truncation 5"},
+    ),
+    # a plane curve needs no lift, however small W_12 is
+    (
+        "tangent",
+        "kind: curve\ntruncation: 3\ncomponent: t^2\ncomponent: t^3\n",
+        0,
+        {
+            "command": "tangent",
+            "ambient": 2,
+            "type": "(2,3)",
+            "singularity": "unclassified",
+            "generic": "no",
+            "frontal": "yes (lift verified to order 1)",
+        },
+    ),
+    (
+        "opening",
+        "kind: curve\ntruncation: 3\ncomponent: t^2\ncomponent: t^3\n",
+        0,
+        {"command": "opening", "type": "(2,3)", "certificates": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, report",
+    LOW_TRUNCATION_LIFTS,
+    ids=[f"{case[0]}{case[3]['type']}" for case in LOW_TRUNCATION_LIFTS],
+)
+def test_lift_with_vanishing_w12_is_a_verdict(tmp_path, command, doc, code, report):
+    path = write(tmp_path, "c.germ", doc)
+    plain = "".join(f"{key}: {value}\n" for key, value in report.items())
+    assert run([command, path]) == (code, plain)
+    out_code, out = run([command, path, "--format", "structured"])
+    assert (out_code, json.loads(out)) == (code, report)
+
+
 @pytest.mark.parametrize("command", ["tangent", "classify"])
 def test_one_component_curve_is_refused(tmp_path, command):
     germ = write(tmp_path, "c.germ", "kind: curve\ntruncation: 4\ncomponent: t^2\n")

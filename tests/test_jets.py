@@ -1,15 +1,20 @@
+import ast
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import jet1s, jet2s
+from conftest import fractions, jet1s, jet2s
 from tanvar import linalg
 from tanvar.jets import (
     ABOVE_TRUNCATION,
     Jet1,
     Jet2,
     TruncationMismatch,
+    _tri_index,
+    _tri_size,
     equal_as_polynomials,
 )
 
@@ -177,6 +182,115 @@ def test_divide_multiply_roundtrip(a, b):
     assert o is ABOVE_TRUNCATION or o > a.truncation - b.order()
 
 
+def linear_solve_divide(self, other):
+    """Reference: ``Jet2.divide`` as it was before it went through
+    ``Jet1.divide``, one sparse linear solve per quotient degree; its body is
+    copied unchanged but for ``Fraction`` spelled ``F``."""
+    self._require_same(other)
+    d = other.order()
+    if d is ABOVE_TRUNCATION:
+        raise ZeroDivisionError("divisor vanishes within its truncation")
+    K = self.truncation
+    nord = self.order()
+    if isinstance(nord, int) and nord < d:
+        return None
+    Kq = K - d
+    q = [F(0)] * _tri_size(Kq)
+    qterms: list = []
+    for m in range(0, Kq + 1):
+        # unknowns: q_{(m-j, j)} for j = 0..m; equations: degree m+d of product
+        nunk = m + 1
+        rows = []
+        for eq_j in range(m + d + 1):
+            ai, aj = m + d - eq_j, eq_j
+            row = {}
+            for unk_j in range(nunk):
+                bi, bj = ai - (m - unk_j), aj - unk_j
+                if bi >= 0 and bj >= 0:
+                    bc = other.coeffs[_tri_index(bi, bj)]
+                    if bc:
+                        row[unk_j] = bc
+            acc = self.coeffs[_tri_index(ai, aj)]
+            # known lower-degree q contributions
+            for qi, qj, qc in qterms:
+                bi, bj = ai - qi, aj - qj
+                if bi >= 0 and bj >= 0 and bi + bj <= K:
+                    bc = other.coeffs[_tri_index(bi, bj)]
+                    if bc != 0:
+                        acc -= qc * bc
+            if acc:
+                row[nunk] = acc
+            rows.append(row)
+        sol = linalg.solve(rows, nunk)
+        if isinstance(sol, linalg.Inconsistent):
+            return None
+        for unk_j, val in enumerate(sol):
+            if val != 0:
+                q[_tri_index(m - unk_j, unk_j)] = val
+                qterms.append((m - unk_j, unk_j, val))
+    return Jet2(tuple(q), Kq)
+
+
+def division_outcome(divide, a, b):
+    try:
+        return "value", divide(a, b)
+    except Exception as exc:  # the type and message are part of the outcome
+        return type(exc), str(exc)
+
+
+@st.composite
+def sparse_jet2s(draw, K, shift=(0, 0), min_size=0):
+    """A jet of at most ten terms of degree <= K, multiplied by x**shift[0] * y**shift[1]."""
+    term = st.tuples(st.integers(0, K), st.integers(0, K), fractions(5, 3))
+    terms = draw(st.lists(term, min_size=min_size, max_size=10))
+    return Jet2.from_terms(
+        [(n - j % (n + 1) + shift[0], j % (n + 1) + shift[1], c) for n, j, c in terms], K
+    )
+
+
+@st.composite
+def division_cases(draw):
+    """(numerator, divisor): exact products, products with one coefficient
+    changed, unrelated numerators and mismatched truncations; the divisor
+    is often shifted by y so that its lowest form has no pure-x term."""
+    K = draw(st.integers(0, 10))
+    b = draw(sparse_jet2s(K, (draw(st.integers(0, 2)), draw(st.integers(0, 2))), min_size=1))
+    kind = draw(st.sampled_from(["product", "perturbed", "perturbed", "unrelated", "mismatch"]))
+    if kind == "unrelated":
+        return draw(sparse_jet2s(K)), b
+    if kind == "mismatch":
+        return draw(sparse_jet2s(K + 1)), b
+    a = draw(sparse_jet2s(K)) * b
+    if kind == "perturbed":
+        i = draw(st.integers(0, K))
+        j = draw(st.integers(0, K - i))
+        a = a + Jet2.term(draw(fractions(5, 3).filter(bool)), i, j, K)
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(division_cases())
+def test_jet2_divide_matches_linear_solve(case):
+    a, b = case
+    assert division_outcome(Jet2.divide, a, b) == division_outcome(linear_solve_divide, a, b)
+
+
+def test_jet2_divide_dense_product_at_k22():
+    K = 22
+    g = Jet2.from_terms(
+        [(i, n - i, F((i * 7 + n * 3) % 11 - 5 or 1, n + 1)) for n in range(1, K + 1)
+         for i in range(n + 1)],
+        K,
+    )
+    q = Jet2.from_terms(
+        [(i, n - i, F((i * 5 + n) % 13 - 6 or 2, i + 2)) for n in range(K + 1)
+         for i in range(n + 1)],
+        K,
+    )
+    a = q * g
+    assert a.divide(g) == linear_solve_divide(a, g) == q.truncate(K - 1)
+
+
 # -- composition ------------------------------------------------------------------------
 
 
@@ -299,3 +413,16 @@ def test_substitute_two_variables():
 def test_render_deterministic():
     j = Jet2.from_terms([(0, 2, 1), (1, 1, F(-1, 2))], 4)
     assert j.render(("s", "t")) == "-1/2*s*t + t^2"
+
+
+def test_jet_core_imports_no_other_tanvar_module():
+    """``jets`` is the base layer: every other module may build on it, not the reverse."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "tanvar" / "jets.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "tanvar":
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "tanvar"]
+    assert found == []

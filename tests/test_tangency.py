@@ -99,6 +99,13 @@ def test_lift_empty_for_plane_curves():
     assert grassmann_lift(tm) == ()
 
 
+def test_lift_when_w12_vanishes_within_truncation():
+    # W_12 of type (3,4,5) has order 4, above K - 2 = 3: inconclusive, not an error
+    assert grassmann_lift(tangent_map(monomial_curve(3, 4, 5, K=5))) == NotFrontalUpTo(5)
+    # a plane curve needs no lift, so its W_12 is never formed
+    assert grassmann_lift(tangent_map(monomial_curve(2, 3, K=3))) == ()
+
+
 def test_lift_identity_exact_on_random_germs(rng):
     pool = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 4, 5), (1, 3, 4, 6)]
     checked = 0
