@@ -21,7 +21,8 @@ The slice of the tangent variety along s = -u, t = -v is computed by the
 Euler-type operator X - u X_u - v X_v applied to (x3, x4, x5); the slice
 satisfies dg3 + u dg1 + v dg2 = 0 exactly, which makes (u, v, 1) a normal
 along it and feeds the rank-zero/Hessian-sign verdict for the two
-three-dimensional umbrella-point classes.
+three-dimensional umbrella-point classes.  The identity has one formula,
+:func:`slice_frontality_residuals`; the slice and the default verdict use it.
 """
 
 from __future__ import annotations
@@ -185,11 +186,17 @@ def _partials(g: Sequence[Jet2]) -> Tuple[List[Jet2], List[Jet2]]:
 
 
 def slice_frontality_residuals(g1: Jet2, g2: Jet2, g3: Jet2) -> Tuple[Jet2, Jet2]:
-    """Components of dg3 + u dg1 + v dg2 (both vanish for genuine slices)."""
-    (u1, u2, u3), (v1, v2, v3) = _partials((g1, g2, g3))
-    ru = u3 + u1.mul_monomial(1, 0) + u2.mul_monomial(0, 1)
-    rv = v3 + v1.mul_monomial(1, 0) + v2.mul_monomial(0, 1)
-    return align(ru, rv)
+    """Components of dg3 + u dg1 + v dg2 (both vanish for genuine slices).
+
+    Evaluated as d(g3 + u g1 + v g2) - (g1 du + g2 dv), the same jet by the
+    product rule, so only one jet is differentiated.  Mixed truncations are
+    aligned: both residuals are exact to order min(T3 - 1, T1, T2).
+    """
+    x3, x1, x2 = align(g3, g1.mul_monomial(1, 0), g2.mul_monomial(0, 1))
+    h = x3 + x1 + x2
+    hu, g1 = align(h.derivative(VAR_U), g1)
+    hv, g2 = align(h.derivative(VAR_V), g2)
+    return hu - g1, hv - g2
 
 
 class SajiTag(Enum):
@@ -222,38 +229,36 @@ def saji_verdict(
     The identifier is det(g_u, g_v, nu) with the unnormalized normal
     nu = (u, v, 1) by default (valid along tangent-variety slices); the
     Hessian determinant 4 q20 q02 - q11^2 of its quadratic part decides
-    the verdict.  The normal must annihilate dg: that pairing is checked at
-    the full common truncation K of dg and nu.  lambda itself is formed from
-    the 2-jets of dg and nu only, which is exact, because the terms of degree
-    <= 2 of a product depend only on those of its factors.
+    the verdict.  The normal must annihilate dg at the full common truncation
+    K of dg and nu: for the default normal that pairing is the slice identity
+    of :func:`slice_frontality_residuals`, and a supplied one is paired with
+    the full-order partials.  lambda is formed from the 2-jets of dg and nu
+    only, read from the 3-jets of g, which is exact, because the terms of
+    degree <= 2 of a product depend only on those of its factors.
     """
-    du, dv = _partials(g)
+    if normal is not None:
+        normal = tuple(normal)
+        if len(normal) != 3:
+            raise ValueError("the normal needs exactly three components")
+    du, dv = _partials([x.truncate(min(x.truncation, 3)) for x in g])
     if any(x.coefficient(0, 0) != 0 for x in du + dv):
-        return SajiResult(
-            SajiTag.INCONCLUSIVE, None, "differential at the origin has rank > 0"
-        )
-    K = min(x.truncation for x in du + dv)
+        return SajiResult(SajiTag.INCONCLUSIVE, None, "differential at the origin has rank > 0")
+    K = min(x.truncation for x in g) - 1
     if normal is None:
-        nu = (
-            Jet2.variable(VAR_U, K),
-            Jet2.variable(VAR_V, K),
-            Jet2.constant(1, K),
-        )
+        pairings = [r.truncate(K) for r in slice_frontality_residuals(*g)]
+        normal = (Jet2.variable(VAR_U, 2), Jet2.variable(VAR_V, 2), Jet2.constant(1, 2))
     else:
-        nu = tuple(normal)
-    K = min([K] + [x.truncation for x in nu])
-    du = [x.truncate(K) for x in du]
-    dv = [x.truncate(K) for x in dv]
-    nu = tuple(x.truncate(K) for x in nu)
-    for partials in (du, dv):
-        pairing = nu[0] * partials[0] + nu[1] * partials[1] + nu[2] * partials[2]
-        if not pairing.is_zero:
-            return SajiResult(
-                SajiTag.INCONCLUSIVE, None, "normal does not annihilate dg"
-            )
+        K = min([K] + [x.truncation for x in normal])
+        nu = [x.truncate(K) for x in normal]
+        pairings = [
+            nu[0] * p[0].truncate(K) + nu[1] * p[1].truncate(K) + nu[2] * p[2].truncate(K)
+            for p in _partials(g)
+        ]
+    if not all(p.is_zero for p in pairings):
+        return SajiResult(SajiTag.INCONCLUSIVE, None, "normal does not annihilate dg")
     if K < 2:
         raise JetDomainError("truncation too small for the quadratic part")
-    lam = _det3([[x.truncate(2) for x in col] for col in (du, dv, nu)])
+    lam = _det3([[x.truncate(2) for x in col] for col in (du, dv, normal)])
     q20 = lam.coefficient(2, 0)
     q11 = lam.coefficient(1, 1)
     q02 = lam.coefficient(0, 2)
@@ -304,6 +309,14 @@ class RuledComponent:
     c1: Jet2
     c2: Jet2
 
+    def partial(self, var: int) -> Jet2:
+        """base_u or base_v, which the ruled components store as c1 and c2."""
+        return (self.c1, self.c2)[var]
+
+
+def _ruled(x: Jet2) -> RuledComponent:
+    return RuledComponent(x, x.derivative(VAR_U), x.derivative(VAR_V))
+
 
 @dataclass(frozen=True)
 class SurfaceTangentMap:
@@ -329,10 +342,8 @@ def _legendre_form(lam, nu, var):
     """sum_i (nu_i * d lambda_i - lambda_i * d nu_i), coefficient of du_var."""
     acc = None
     for li, ni in zip(lam, nu):
-        dl = li.derivative(var)
-        dn = ni.derivative(var)
-        ni_t, dl_t = align(ni, dl)
-        li_t, dn_t = align(li, dn)
+        ni_t, dl_t = align(ni.base, li.partial(var))
+        li_t, dn_t = align(li.base, ni.partial(var))
         term = ni_t * dl_t - li_t * dn_t
         acc = term if acc is None else acc + term
     return acc
@@ -346,52 +357,40 @@ def surface_tangent_map(
     If mu is omitted it is solved from d mu = sum(nu_i d lambda_i -
     lambda_i d nu_i); either way the input must satisfy that relation, and
     a :class:`LegendreConditionError` reports the failure otherwise.  The
-    certificate identity is evaluated exactly on the stored jets.
+    certificate identity is evaluated exactly on the stored jets, and each
+    first partial of lambda, nu and mu is taken once, in its ruled component.
     """
     lam = tuple(lam)
     nu = tuple(nu)
     if len(lam) != 2 or len(nu) != 2:
         raise ValueError("expected two lambda and two nu components")
-    A = _legendre_form(lam, nu, VAR_U)
-    B = _legendre_form(lam, nu, VAR_V)
+    lam_r, nu_r = tuple(map(_ruled, lam)), tuple(map(_ruled, nu))
+    A = _legendre_form(lam_r, nu_r, VAR_U)
+    B = _legendre_form(lam_r, nu_r, VAR_V)
     closed = A.derivative(VAR_V) - B.derivative(VAR_U)
     if not closed.is_zero:
         raise LegendreConditionError(
             "the contact relation admits no mu: the defining 1-form is not closed"
         )
-    if mu is None:
-        mu = _potential(A, B)
-    else:
-        dmu_u, A_t = align(mu.derivative(VAR_U), A)
-        dmu_v, B_t = align(mu.derivative(VAR_V), B)
-        if not ((dmu_u - A_t).is_zero and (dmu_v - B_t).is_zero):
-            raise LegendreConditionError("mu does not satisfy the contact relation")
-
-    def ruled(x: Jet2) -> RuledComponent:
-        return RuledComponent(x, x.derivative(VAR_U), x.derivative(VAR_V))
-
-    lam_r = (ruled(lam[0]), ruled(lam[1]))
-    nu_r = (ruled(nu[0]), ruled(nu[1]))
-    mu_r = ruled(mu)
-
-    residuals = []
+    mu_r = _ruled(_potential(A, B) if mu is None else mu)
     # ds_j coefficients: mu_{,j} - sum(nu_i lam_{i,j} - lam_i nu_{i,j})
-    first_order = {}
-    for j, form in (("1", A), ("2", B)):
-        var = VAR_U if j == "1" else VAR_V
-        dmu, form_t = align(mu.derivative(var), form)
-        first_order[j] = dmu - form_t
-        residuals.append((f"ds{j}", first_order[j]))
+    first_order = []
+    for var, form in ((VAR_U, A), (VAR_V, B)):
+        dmu, form_t = align(mu_r.partial(var), form)
+        first_order.append(dmu - form_t)
+    if mu is not None and not all(r.is_zero for r in first_order):
+        raise LegendreConditionError("mu does not satisfy the contact relation")
+    residuals = [("ds1", first_order[VAR_U]), ("ds2", first_order[VAR_V])]
     # du_j coefficients: base part repeats ds_j; s_k parts use second derivatives
     for j, varj in (("1", VAR_U), ("2", VAR_V)):
-        residuals.append((f"du{j}", first_order[j]))
+        residuals.append((f"du{j}", first_order[varj]))
         for k, vark in (("1", VAR_U), ("2", VAR_V)):
-            acc = mu.derivative(varj).derivative(vark)
-            for li, ni in zip(lam, nu):
-                dd_l = li.derivative(varj).derivative(vark)
-                dd_n = ni.derivative(varj).derivative(vark)
-                ni_t, dd_l_t = align(ni, dd_l)
-                li_t, dd_n_t = align(li, dd_n)
+            acc = mu_r.partial(varj).derivative(vark)
+            for li, ni in zip(lam_r, nu_r):
+                dd_l = li.partial(varj).derivative(vark)
+                dd_n = ni.partial(varj).derivative(vark)
+                ni_t, dd_l_t = align(ni.base, dd_l)
+                li_t, dd_n_t = align(li.base, dd_n)
                 acc_t, term = align(acc, ni_t * dd_l_t - li_t * dd_n_t)
                 acc = acc_t - term
             residuals.append((f"s{k}*du{j}", acc))

@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fractions, random_fraction, random_invertible_matrix
-from tanvar.jets import Jet2, JetDomainError, equal_as_polynomials
+from tanvar.jets import Jet2, JetDomainError, TruncationMismatch, align, equal_as_polynomials
 from tanvar.surfaces import (
+    VAR_U,
+    VAR_V,
     ClosednessError,
     LegendreConditionError,
     OrdinaryPointClass,
+    RuledComponent,
     SajiResult,
     SajiTag,
+    SurfaceTangentMap,
     SymMatrix3,
     VeroneseVerdict,
+    _potential,
     complete_to_legendre,
     frontal_normal,
     h_invariant,
@@ -166,6 +171,58 @@ def test_slice_identity_random(rng):
         assert ru.is_zero and rv.is_zero
 
 
+def slice_frontality_residuals_six_partials(g1, g2, g3):
+    """The identity as first written: all six partials, for T3 = T1 + 1 = T2 + 1."""
+    (u1, u2, u3), (v1, v2, v3) = (
+        [x.derivative(var) for x in (g1, g2, g3)] for var in (0, 1)
+    )
+    ru = u3 + u1.mul_monomial(1, 0) + u2.mul_monomial(0, 1)
+    rv = v3 + v1.mul_monomial(1, 0) + v2.mul_monomial(0, 1)
+    return align(ru, rv)
+
+
+def random_jet(rng, trunc, density=0.5):
+    terms = [
+        (i, d - i, random_fraction(rng))
+        for d in range(trunc + 1)
+        for i in range(d + 1)
+        if rng.random() < density
+    ]
+    return Jet2.from_terms(terms, trunc)
+
+
+def test_slice_identity_matches_six_partials(rng):
+    for _ in range(60):
+        k = rng.randint(1, 9)
+        g = (random_jet(rng, k), random_jet(rng, k), random_jet(rng, k + 1))
+        ru, rv = slice_frontality_residuals(*g)
+        old_u, old_v = slice_frontality_residuals_six_partials(*g)
+        assert (ru.truncation, rv.truncation) == (old_u.truncation, old_v.truncation) == (k, k)
+        assert (ru.coeffs, rv.coeffs) == (old_u.coeffs, old_v.coeffs)
+
+
+def test_slice_identity_aligns_mixed_truncations(rng):
+    # exact to min(T3 - 1, T1, T2): the six-partial identity of the triple cut there
+    for _ in range(60):
+        t1, t2, t3 = rng.randint(1, 9), rng.randint(1, 9), rng.randint(2, 9)
+        g1, g2, g3 = (random_jet(rng, t) for t in (t1, t2, t3))
+        k = min(t3 - 1, t1, t2)
+        expected = slice_frontality_residuals_six_partials(
+            g1.truncate(k), g2.truncate(k), g3.truncate(k + 1)
+        )
+        assert slice_frontality_residuals(g1, g2, g3) == expected
+
+
+def test_slice_identity_of_an_equal_truncation_triple(rng):
+    g1, g2, g3 = transversal_slice(dense_surface((2, 1, -1, 3), 8, rng))
+    g3 = g3.truncate(8)
+    with pytest.raises(TruncationMismatch):
+        slice_frontality_residuals_six_partials(g1, g2, g3)
+    ru, rv = slice_frontality_residuals(g1, g2, g3)
+    assert ru.is_zero and rv.is_zero
+    assert (ru.truncation, rv.truncation) == (7, 7)
+
+
 # -- rank-zero Hessian verdict -----------------------------------------------------------
 
 
@@ -214,14 +271,19 @@ def test_hessian_equals_h_invariant(rng):
             assert v.tag is SajiTag.D4_MINUS
 
 
-def dense_surface(quad, trunc, rng):
-    """Surface with quadratic data quad and a dense potential up to degree trunc + 1."""
+def dense_chart(quad, trunc, rng):
+    """(x3, x4) = dP for quadratic data quad and a dense potential P up to degree trunc + 1."""
     a, b, c, e = (F(x) for x in quad)
     terms = [(3, 0, a / 6), (2, 1, b / 2), (1, 2, c / 2), (0, 3, e / 6)]
     for d in range(4, trunc + 2):
         terms += [(d - j, j, random_fraction(rng, nonzero=True)) for j in range(d + 1)]
     P = Jet2.from_terms(terms, trunc + 1)
-    return complete_to_legendre(P.derivative(0), P.derivative(1))
+    return P.derivative(0), P.derivative(1)
+
+
+def dense_surface(quad, trunc, rng):
+    """Surface with quadratic data quad and a dense potential up to degree trunc + 1."""
+    return complete_to_legendre(*dense_chart(quad, trunc, rng))
 
 
 D4_QUADS = [
@@ -275,6 +337,9 @@ def test_germs_of_other_than_three_components_are_refused(size, verdict):
     g = (Jet2.variable(0, 4), Jet2.variable(1, 4)) + (Jet2.zero(4),) * (size - 2)
     with pytest.raises(ValueError):
         verdict(g)
+    if verdict is saji_verdict:
+        with pytest.raises(ValueError, match="the normal needs exactly three components"):
+            saji_verdict(transversal_slice(quad_surface(1, 0, 0, 1)), normal=g)
 
 
 def _det3_full_order(cols):
@@ -341,13 +406,15 @@ def _outcome(verdict, g, normal):
 def d4_inputs(draw):
     """A three-component germ and a normal (None for the default (u, v, 1)).
 
-    Slices of Legendre surfaces, optionally moved by a target change of
-    coordinates, or three arbitrary jets; constant terms are dropped.  The
-    normal is the default or, when it exists, ``frontal_normal``.
+    Three arbitrary jets, or slices of Legendre surfaces: untruncated (g3 one
+    order above g1 and g2) or cut to one truncation and moved by a target
+    change of coordinates; constant terms are dropped.  The normal is the
+    default or, when it exists, ``frontal_normal`` of the aligned germ.
     """
-    trunc = draw(st.integers(2, 7))
+    trunc = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["jets", "slice", "moved slice"]))
     coeff = fractions(max_num=4, max_den=3)
-    if draw(st.booleans()):
+    if kind == "jets" or trunc < 2:
         g = tuple(
             Jet2.from_terms(
                 draw(st.lists(st.tuples(st.integers(0, trunc), st.integers(0, trunc), coeff),
@@ -365,16 +432,16 @@ def d4_inputs(draw):
             + [(i, j, c) for i, j, c in higher if i + j >= 4],
             trunc + 1,
         )
-        g1, g2, g3 = transversal_slice(complete_to_legendre(P.derivative(0), P.derivative(1)))
-        K = g1.truncation
-        g2, g3 = g2.truncate(K), g3.truncate(K)
-        p, q, r = (draw(coeff) for _ in range(3))
-        g = (g1 + p * g3, g2 + q * g1 * g1, g3 + r * g1 * g2)
+        g = transversal_slice(complete_to_legendre(P.derivative(0), P.derivative(1)))
+        if kind == "moved slice":
+            g1, g2, g3 = align(*g)
+            p, q, r = (draw(coeff) for _ in range(3))
+            g = (g1 + p * g3, g2 + q * g1 * g1, g3 + r * g1 * g2)
     g = tuple(x - Jet2.from_terms([(0, 0, x.coefficient(0, 0))], x.truncation) for x in g)
     normal = None
     if draw(st.booleans()):
         try:
-            normal = frontal_normal(g)
+            normal = frontal_normal(align(*g))
         except JetDomainError:
             pass
     return g, normal
@@ -396,6 +463,47 @@ def test_annihilation_is_checked_at_full_order(rng):
     refused = saji_verdict(g, normal=nu)
     assert (refused.tag, refused.reason) == (SajiTag.INCONCLUSIVE, "normal does not annihilate dg")
     assert saji_verdict(g, normal=tuple(x.truncate(6) for x in nu)) == saji_verdict(g)
+
+
+def test_default_annihilation_is_checked_at_the_verdict_truncation(rng):
+    # truncations 8, 8, 9: the verdict's K is 7, so dg3 is paired up to degree 7 only
+    g1, g2, g3 = transversal_slice(dense_surface((2, 1, -1, 3), 8, rng))
+    for degree, reason in ((9, None), (8, "normal does not annihilate dg")):
+        g = (g1, g2, g3 + Jet2.term(1, degree, 0, 9))
+        assert saji_verdict(g) == saji_verdict_full_order(g)
+        assert saji_verdict(g).reason == reason
+
+
+def test_surface_verdict_differentiates_each_jet_once(rng, monkeypatch):
+    # completion 4, slice identity 2, its reuse as the default annihilation check 2;
+    # lambda reads the 3-jets of g, so no product of full-order jets is formed
+    x3, x4 = dense_chart((2, 1, -1, 3), 22, rng)
+    derivatives, products, inside = [], [], []
+    derivative, product, verdict = Jet2.derivative, Jet2.__mul__, saji_verdict
+
+    def counted_derivative(self, var):
+        if self.truncation > 3:
+            derivatives.append(self.truncation)
+        return derivative(self, var)
+
+    def counted_product(self, other):
+        if inside and isinstance(other, Jet2) and self.truncation > 3:
+            products.append(self.truncation)
+        return product(self, other)
+
+    def traced_verdict(g):
+        inside.append(True)
+        try:
+            return verdict(g)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Jet2, "derivative", counted_derivative)
+    monkeypatch.setattr(Jet2, "__mul__", counted_product)
+    result = traced_verdict(transversal_slice(complete_to_legendre(x3, x4)))
+    assert result.tag is SajiTag.D4_PLUS
+    assert len(derivatives) <= 8
+    assert products == []
 
 # -- tangent maps over the Darboux chart ---------------------------------------------------
 
@@ -444,27 +552,130 @@ def test_surface_tangent_identity_random(rng):
         assert out.verified_order >= 10
 
 
+def curved_legendre(rng, trunc=12):
+    """A graph germ composed with a jet substitution, which leaves the graph chart."""
+    pot = random_potential(rng, min_order=2, max_order=4, trunc=trunc + 1)
+    psi1 = Jet2.from_terms(
+        [(1, 0, 1), (2, 0, random_fraction(rng)), (1, 1, random_fraction(rng))],
+        trunc,
+    )
+    psi2 = Jet2.from_terms(
+        [(0, 1, 1), (0, 2, random_fraction(rng)), (2, 0, random_fraction(rng))],
+        trunc,
+    )
+    lam = (psi1, psi2)
+    nu = (
+        pot.derivative(0).truncate(trunc).substitute(psi1, psi2),
+        pot.derivative(1).truncate(trunc).substitute(psi1, psi2),
+    )
+    return lam, nu
+
+
 def test_surface_tangent_identity_curved_chart(rng):
-    # compose a graph germ with a jet substitution to leave the graph chart
     for _ in range(10):
-        trunc = 12
-        pot = random_potential(rng, min_order=2, max_order=4, trunc=trunc + 1)
-        psi1 = Jet2.from_terms(
-            [(1, 0, 1), (2, 0, random_fraction(rng)), (1, 1, random_fraction(rng))],
-            trunc,
-        )
-        psi2 = Jet2.from_terms(
-            [(0, 1, 1), (0, 2, random_fraction(rng)), (2, 0, random_fraction(rng))],
-            trunc,
-        )
-        lam = (psi1, psi2)
-        nu = (
-            pot.derivative(0).truncate(trunc).substitute(psi1, psi2),
-            pot.derivative(1).truncate(trunc).substitute(psi1, psi2),
-        )
-        out = surface_tangent_map(lam, nu)
+        out = surface_tangent_map(*curved_legendre(rng))
         assert out.certificate_holds
         assert out.verified_order >= 10
+
+
+def _legendre_form_twice(lam, nu, var):
+    """sum_i (nu_i * d lambda_i - lambda_i * d nu_i), coefficient of du_var."""
+    acc = None
+    for li, ni in zip(lam, nu):
+        dl = li.derivative(var)
+        dn = ni.derivative(var)
+        ni_t, dl_t = align(ni, dl)
+        li_t, dn_t = align(li, dn)
+        term = ni_t * dl_t - li_t * dn_t
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def surface_tangent_map_twice(lam, nu, mu=None):
+    """The tangent map as first written, differentiating lambda, nu and mu again
+    for the form, the mu check and the second derivatives."""
+    lam = tuple(lam)
+    nu = tuple(nu)
+    if len(lam) != 2 or len(nu) != 2:
+        raise ValueError("expected two lambda and two nu components")
+    A = _legendre_form_twice(lam, nu, VAR_U)
+    B = _legendre_form_twice(lam, nu, VAR_V)
+    closed = A.derivative(VAR_V) - B.derivative(VAR_U)
+    if not closed.is_zero:
+        raise LegendreConditionError(
+            "the contact relation admits no mu: the defining 1-form is not closed"
+        )
+    if mu is None:
+        mu = _potential(A, B)
+    else:
+        dmu_u, A_t = align(mu.derivative(VAR_U), A)
+        dmu_v, B_t = align(mu.derivative(VAR_V), B)
+        if not ((dmu_u - A_t).is_zero and (dmu_v - B_t).is_zero):
+            raise LegendreConditionError("mu does not satisfy the contact relation")
+
+    def ruled(x: Jet2) -> RuledComponent:
+        return RuledComponent(x, x.derivative(VAR_U), x.derivative(VAR_V))
+
+    lam_r = (ruled(lam[0]), ruled(lam[1]))
+    nu_r = (ruled(nu[0]), ruled(nu[1]))
+    mu_r = ruled(mu)
+
+    residuals = []
+    # ds_j coefficients: mu_{,j} - sum(nu_i lam_{i,j} - lam_i nu_{i,j})
+    first_order = {}
+    for j, form in (("1", A), ("2", B)):
+        var = VAR_U if j == "1" else VAR_V
+        dmu, form_t = align(mu.derivative(var), form)
+        first_order[j] = dmu - form_t
+        residuals.append((f"ds{j}", first_order[j]))
+    # du_j coefficients: base part repeats ds_j; s_k parts use second derivatives
+    for j, varj in (("1", VAR_U), ("2", VAR_V)):
+        residuals.append((f"du{j}", first_order[j]))
+        for k, vark in (("1", VAR_U), ("2", VAR_V)):
+            acc = mu.derivative(varj).derivative(vark)
+            for li, ni in zip(lam, nu):
+                dd_l = li.derivative(varj).derivative(vark)
+                dd_n = ni.derivative(varj).derivative(vark)
+                ni_t, dd_l_t = align(ni, dd_l)
+                li_t, dd_n_t = align(li, dd_n)
+                acc_t, term = align(acc, ni_t * dd_l_t - li_t * dd_n_t)
+                acc = acc_t - term
+            residuals.append((f"s{k}*du{j}", acc))
+    verified = min(r.truncation for _, r in residuals)
+    residuals = tuple((name, r.truncate(verified)) for name, r in residuals)
+    return SurfaceTangentMap(lam_r, mu_r, nu_r, residuals, verified)
+
+
+def _tangent_outcome(tangent_map, lam, nu, mu):
+    try:
+        return tangent_map(lam, nu, mu)
+    except (LegendreConditionError, JetDomainError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_surface_tangent_map_matches_repeated_differentiation(rng):
+    outcomes = set()
+    for n in range(60):
+        trunc = rng.randint(1, 12)
+        lam, nu = (graph_legendre, curved_legendre)[n % 2](rng, trunc)
+        if n % 5 == 4:  # a form that is not closed
+            nu = (nu[0], nu[1] + Jet2.term(1, 1, 0, nu[1].truncation))
+        mu = None
+        if n % 3 == 1:  # the solved mu, or a wrong one
+            mu = _potential(_legendre_form_twice(lam, nu, VAR_U), _legendre_form_twice(lam, nu, VAR_V))
+            if n % 2:
+                mu = mu + Jet2.term(1, 1, 1, mu.truncation)
+        elif n % 3 == 2:  # an arbitrary mu, down to truncation 0
+            mu = random_jet(rng, rng.randint(0, trunc + 1))
+        new = _tangent_outcome(surface_tangent_map, lam, nu, mu)
+        assert new == _tangent_outcome(surface_tangent_map_twice, lam, nu, mu)
+        outcomes.add(new if isinstance(new, str) else new.certificate_holds)
+    assert outcomes >= {
+        True,
+        "LegendreConditionError: mu does not satisfy the contact relation",
+        "LegendreConditionError: the contact relation admits no mu: "
+        "the defining 1-form is not closed",
+    }
 
 
 # -- quadric locus membership ----------------------------------------------------------------
