@@ -98,10 +98,14 @@ def _parse_type(text: str) -> TypeSequence:
     return TypeSequence(entries)
 
 
-def _class_for(args, type_length: int) -> CurveClass:
+def _class_for(args, type_length: Optional[int]) -> CurveClass:
+    """The ``--class`` of a command; a missing --N or --n is read from the type
+    length, which ``enumerate`` (type length None) does not have."""
     if args.curve_class == "contact":
         n = args.n
         if n is None:
+            if type_length is None:
+                raise GermDocumentError("enumerate --class contact needs --n")
             if type_length % 2 == 0 or type_length < 3:
                 raise GermDocumentError(
                     "contact types have odd length 2n+1 >= 3; pass --n explicitly"
@@ -110,6 +114,8 @@ def _class_for(args, type_length: int) -> CurveClass:
         return CurveClass.contact_osculating(n)
     N = args.N
     if N is None:
+        if type_length is None:
+            raise GermDocumentError("enumerate needs --N")
         if type_length < 2:
             raise GermDocumentError(
                 f"type of length {type_length}: a curve needs at least two components"
@@ -181,14 +187,7 @@ def _cmd_classify(args) -> Tuple[int, Report]:
 
 
 def _cmd_enumerate(args) -> Tuple[int, Report]:
-    if args.curve_class == "contact":
-        if args.n is None:
-            raise GermDocumentError("enumerate --class contact needs --n")
-        cls = CurveClass.contact_osculating(args.n)
-    else:
-        if args.N is None:
-            raise GermDocumentError("enumerate needs --N")
-        cls = _class_for(args, args.N + 1)
+    cls = _class_for(args, None)
     types = enumerate_generic(cls)
     return OK, [
         ("class", cls.describe()),
@@ -438,11 +437,7 @@ def _cmd_batch(args) -> Tuple[int, Report]:
         except InvariantError as exc:
             report.append((f"document {idx}", f"internal error: {exc}"))
             saw_inconclusive = True
-    if saw_error:
-        return GUARD, report
-    if saw_inconclusive:
-        return INCONCLUSIVE, report
-    return OK, report
+    return (GUARD if saw_error else INCONCLUSIVE if saw_inconclusive else OK), report
 
 
 # --------------------------------------------------------------------------
@@ -526,8 +521,20 @@ COMMANDS = (
 )
 
 
+class _UsageError(Exception):
+    """An argparse usage error, which :func:`run` reports like a guard failure."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises where argparse would exit, so that :func:`run` prints the report."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tanvar",
         description="Exact analysis of tangent varieties to curve and surface germs.",
     )
@@ -555,8 +562,11 @@ def _render(report: Report, fmt: str) -> str:
 
 def run(argv: Sequence[str]) -> Tuple[int, str]:
     """Execute one CLI invocation; returns (exit code, report text)."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
+    try:
+        args = build_parser().parse_args(list(argv))
+    except _UsageError as exc:
+        # plain, since --format may be the argument that failed
+        return GUARD, _render([("error", str(exc))], "plain")
     try:
         code, report = args.handler(args)
     except _GUARD_ERRORS as exc:

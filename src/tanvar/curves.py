@@ -23,9 +23,14 @@ class NotFiniteTypeError(ValueError):
     """Raised by operations that require a finite-type curve."""
 
 
+#: longest type; curve documents are capped at truncation 256
+#: (``jets.MAX_TRUNCATION_1``), so every type read from one fits
+MAX_TYPE_LENGTH = 256
+
+
 @dataclass(frozen=True)
 class TypeSequence:
-    """Strictly increasing positive integers (a_1, ..., a_m)."""
+    """Strictly increasing positive integers (a_1, ..., a_m), m <= MAX_TYPE_LENGTH."""
 
     entries: Tuple[int, ...]
 
@@ -37,6 +42,8 @@ class TypeSequence:
         for a, b in zip(self.entries, self.entries[1:]):
             if b <= a:
                 raise ValueError("type entries must increase strictly")
+        if len(self.entries) > MAX_TYPE_LENGTH:
+            raise ValueError(f"type length {len(self.entries)} exceeds {MAX_TYPE_LENGTH}")
 
     def __len__(self):
         return len(self.entries)

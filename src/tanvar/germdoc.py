@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curves import CurveGerm
-from .jets import MAX_TRUNCATION_1, MAX_TRUNCATION_2, Jet1, Jet2
+from .jets import MAX_TRUNCATION_1, Jet1, Jet2
 from .surfaces import SymMatrix3
 
 TermList = List[Tuple[Tuple[int, ...], Fraction]]
@@ -52,65 +52,51 @@ def _tokenize(text: str) -> List[str]:
 
 
 def parse_terms(text: str, variables: Sequence[str]) -> TermList:
-    """Parse a polynomial expression into (exponent tuple, coefficient) terms."""
+    """Parse a polynomial expression into (exponent tuple, coefficient) terms.
+
+    One pass over the tokens: a factor or ``*`` opens a term, a sign closes
+    it.  ``coeff`` stays None while the open term has seen only ``*``.
+    """
     var_index = {v: i for i, v in enumerate(variables)}
     tokens = _tokenize(text)
     if not tokens:
         raise GermDocumentError("empty polynomial expression")
+    tokens.append("+")  # closes the last term and ends every lookahead
     terms: TermList = []
+    sign, exps, coeff = 1, None, None
     i = 0
-    sign = 1
-    first = True
-
-    def parse_term(start: int) -> Tuple[int, Fraction, Tuple[int, ...]]:
-        coeff = Fraction(1)
-        exps = [0] * len(variables)
-        j = start
-        saw_factor = False
-        while j < len(tokens):
-            tok = tokens[j]
-            if tok in ("+", "-"):
-                break
-            if tok == "*":
-                j += 1
-                continue
-            if _RATIONAL.fullmatch(tok):
-                coeff *= _rational(tok, "bad coefficient")
-                saw_factor = True
-                j += 1
-                continue
-            if tok == "^":
-                raise GermDocumentError("misplaced '^'")
-            if tok not in var_index:
-                raise GermDocumentError(f"unknown variable {tok!r}")
-            exp = 1
-            j += 1
-            if j < len(tokens) and tokens[j] == "^":
-                j += 1
-                if j >= len(tokens) or not re.fullmatch(r"\d+", tokens[j]):
-                    raise GermDocumentError("exponent must be a natural number")
-                exp = int(tokens[j])
-                j += 1
-            exps[var_index[tok]] += exp
-            saw_factor = True
-        if not saw_factor:
-            raise GermDocumentError("empty term in polynomial expression")
-        return j, coeff, tuple(exps)
-
     while i < len(tokens):
         tok = tokens[i]
-        if tok == "+":
-            i += 1
+        i += 1
+        if tok == "+" or tok == "-":
+            if exps is not None:
+                if coeff is None:
+                    raise GermDocumentError("empty term in polynomial expression")
+                terms.append((tuple(exps), sign * coeff))
+                sign, exps, coeff = 1, None, None
+            if tok == "-":
+                sign = -sign
             continue
-        if tok == "-":
-            sign = -sign
-            i += 1
+        if exps is None:
+            exps = [0] * len(variables)
+        if tok == "*":
             continue
-        i, coeff, exps = parse_term(i)
-        terms.append((exps, sign * coeff))
-        sign = 1
-        first = False
-    if first:
+        if coeff is None:
+            coeff = Fraction(1)
+        if _RATIONAL.fullmatch(tok):
+            coeff *= _rational(tok, "bad coefficient")
+        elif tok == "^":
+            raise GermDocumentError("misplaced '^'")
+        elif tok not in var_index:
+            raise GermDocumentError(f"unknown variable {tok!r}")
+        elif tokens[i] == "^":
+            if not tokens[i + 1].isdecimal():
+                raise GermDocumentError("exponent must be a natural number")
+            exps[var_index[tok]] += int(tokens[i + 1])
+            i += 2
+        else:
+            exps[var_index[tok]] += 1
+    if not terms:
         raise GermDocumentError("expression has no terms")
     return terms
 
@@ -139,32 +125,24 @@ class GermDocument:
     entries: Optional[List[Fraction]] = None
 
 
-_KINDS = ("curve", "surface", "matrix")
+#: each kind with its default variables
+_KINDS = {"curve": ("t",), "surface": ("u", "v"), "matrix": ()}
 
 
 def parse_document(text: str) -> GermDocument:
-    lines = []
+    fields: List[Tuple[str, str]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
-    fields: List[Tuple[str, str]] = []
-    for line in lines:
-        if ":" not in line:
-            raise GermDocumentError(f"expected 'key: value', got {line!r}")
-        key, value = line.split(":", 1)
-        fields.append((key.strip().lower(), value.strip()))
+            key, colon, value = line.partition(":")
+            if not colon:
+                raise GermDocumentError(f"expected 'key: value', got {line!r}")
+            fields.append((key.strip().lower(), value.strip()))
     kinds = [v for k, v in fields if k == "kind"]
     if len(kinds) != 1 or kinds[0] not in _KINDS:
         raise GermDocumentError("document needs exactly one 'kind: curve|surface|matrix'")
-    doc = GermDocument(kind=kinds[0])
-    if doc.kind == "curve":
-        doc.variables = ("t",)
-    elif doc.kind == "surface":
-        doc.variables = ("u", "v")
+    doc = GermDocument(kind=kinds[0], variables=_KINDS[kinds[0]])
     for key, value in fields:
-        if key == "kind":
-            continue
         if key == "truncation":
             doc.truncation = int(value)
         elif key == "class":
@@ -179,7 +157,7 @@ def parse_document(text: str) -> GermDocument:
             doc.named[key] = parse_terms(value, doc.variables)
         elif key == "entries":
             doc.entries = parse_rationals(value)
-        else:
+        elif key != "kind":
             raise GermDocumentError(f"unknown field {key!r}")
     return doc
 
@@ -245,11 +223,6 @@ def build_surface(doc: GermDocument) -> Tuple[Jet2, Jet2]:
                 raise GermDocumentError(
                     f"{key}: total degree {exps[0] + exps[1]} exceeds truncation"
                 )
-        if doc.truncation > MAX_TRUNCATION_2:
-            # the message Jet2 itself gives, raised before its table is allocated
-            raise GermDocumentError(
-                f"two-variable jets support total degree <= {MAX_TRUNCATION_2}"
-            )
         out.append(
             Jet2.from_terms(((e[0], e[1], c) for e, c in terms), doc.truncation)
         )

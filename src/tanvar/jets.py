@@ -63,42 +63,24 @@ class InvariantError(RuntimeError):
     """
 
 
-class _AboveTruncation:
+class _AboveTruncation(float):
     """Order of a jet that vanishes identically within its truncation.
 
-    Compares strictly greater than every integer, and equal only to itself.
+    Its one instance is infinity, so it compares greater than every integer
+    and equal to no integer.  It prints as its name, and copy and pickle
+    return the instance itself.
     """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "ABOVE_TRUNCATION"
 
-    def __eq__(self, other):
-        return isinstance(other, _AboveTruncation)
+    __str__ = __repr__
 
-    def __hash__(self):
-        return hash("ABOVE_TRUNCATION")
-
-    def __gt__(self, other):
-        return not isinstance(other, _AboveTruncation)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _AboveTruncation)
+    def __reduce__(self):
+        return "ABOVE_TRUNCATION"
 
 
-ABOVE_TRUNCATION = _AboveTruncation()
+ABOVE_TRUNCATION = _AboveTruncation("inf")
 
 ExtOrder = Union[int, _AboveTruncation]
 
@@ -351,6 +333,9 @@ class Jet1(_Jet):
 
 
 def _tri_size(K: int) -> int:
+    """Table length at truncation K; refuses K above the supported envelope."""
+    if K > MAX_TRUNCATION_2:
+        raise ValueError(f"two-variable jets support total degree <= {MAX_TRUNCATION_2}")
     return (K + 1) * (K + 2) // 2
 
 
@@ -374,8 +359,6 @@ class Jet2(_Jet):
     def __post_init__(self):
         if self.truncation < 0:
             raise ValueError("negative truncation")
-        if self.truncation > MAX_TRUNCATION_2:
-            raise ValueError(f"two-variable jets support total degree <= {MAX_TRUNCATION_2}")
         if len(self.coeffs) != _tri_size(self.truncation):
             raise ValueError("coefficient table does not match truncation")
 

@@ -12,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
-from .jets import _render_terms
-
-Scalar = Union[int, Fraction]
-
-
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .jets import Scalar, _frac, _render_terms
 
 
 @dataclass(frozen=True)
@@ -64,14 +58,6 @@ class Poly:
             return Poly._normal(self.variables, acc)
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, Poly):
-            return self + (-other)
-        return NotImplemented
-
-    def __neg__(self):
-        return Poly(self.variables, tuple((e, -c) for e, c in self.terms))
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._require_same(other)
@@ -81,14 +67,6 @@ class Poly:
                     e = tuple(a + b for a, b in zip(e1, e2))
                     acc[e] = acc.get(e, Fraction(0)) + c1 * c2
             return Poly._normal(self.variables, acc)
-        if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return Poly._normal(self.variables, {e: c * f for e, c in self.terms})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
         return NotImplemented
 
     def derivative(self, name: str) -> "Poly":
@@ -121,9 +99,6 @@ class Poly:
         return _render_terms(
             (c, tuple(zip(self.variables, e))) for e, c in self.terms
         )
-
-    def __str__(self):
-        return self.render()
 
 
 def solve_ratfun_system(

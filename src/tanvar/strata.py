@@ -29,11 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple, Union
 
-from .curves import TypeSequence
-
-#: longest type a class may have; curve documents are capped at truncation
-#: 256 (``jets.MAX_TRUNCATION_1``), so every type read from one fits
-MAX_TYPE_LENGTH = 256
+from .curves import MAX_TYPE_LENGTH, TypeSequence
 
 
 @dataclass(frozen=True)

@@ -212,13 +212,8 @@ class SajiResult:
     reason: Optional[str] = None
 
 
-def _det3(cols) -> Jet2:
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = cols
-    return (
-        a1 * (b2 * c3 - b3 * c2)
-        - a2 * (b1 * c3 - b3 * c1)
-        + a3 * (b1 * c2 - b2 * c1)
-    )
+def _cross(a: Sequence[Jet2], b: Sequence[Jet2]) -> Tuple[Jet2, Jet2, Jet2]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def saji_verdict(
@@ -258,7 +253,9 @@ def saji_verdict(
         return SajiResult(SajiTag.INCONCLUSIVE, None, "normal does not annihilate dg")
     if K < 2:
         raise JetDomainError("truncation too small for the quadratic part")
-    lam = _det3([[x.truncate(2) for x in col] for col in (du, dv, normal)])
+    du, dv, normal = ([x.truncate(2) for x in col] for col in (du, dv, normal))
+    cross = _cross(dv, normal)
+    lam = du[0] * cross[0] + du[1] * cross[1] + du[2] * cross[2]  # det(du, dv, nu)
     q20 = lam.coefficient(2, 0)
     q11 = lam.coefficient(1, 1)
     q02 = lam.coefficient(0, 2)
@@ -278,12 +275,7 @@ def frontal_normal(g: Sequence[Jet2]) -> Tuple[Jet2, Jet2, Jet2]:
     Divides g_u x g_v by its lowest-order component, producing an exact
     normal jet that is a unit vector field up to scale (one component is 1).
     """
-    du, dv = _partials(g)
-    cross = (
-        du[1] * dv[2] - du[2] * dv[1],
-        du[2] * dv[0] - du[0] * dv[2],
-        du[0] * dv[1] - du[1] * dv[0],
-    )
+    cross = _cross(*_partials(g))
     scale = min(cross, key=lambda c: c.order())  # the first of least order
     if scale.is_zero:
         raise JetDomainError("degenerate differential: zero cross product")

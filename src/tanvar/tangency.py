@@ -23,9 +23,8 @@ from typing import List, Sequence, Tuple, Union
 
 from . import linalg
 from .curves import CurveGerm, NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
-from .jets import InvariantError, Jet1, Jet2, JetDomainError
+from .jets import MAX_TRUNCATION_2, InvariantError, Jet1, Jet2, JetDomainError
 from .polys import Poly, solve_ratfun_system
-from .strata import MAX_TYPE_LENGTH
 
 # variable layout for tangent-map jets: index 0 is the line parameter s,
 # index 1 is the curve parameter t
@@ -65,7 +64,11 @@ class TangentMapGerm:
 
 
 def tangent_map(germ: CurveGerm) -> TangentMapGerm:
-    """Construct the tangent-map jet of a finite-type curve germ."""
+    """Construct the tangent-map jet of a finite-type curve germ.
+
+    The map has truncation K - a1 + 1, so K may be at most
+    ``MAX_TRUNCATION_2 + a1 - 1``; a longer germ is refused before any jet is built.
+    """
     t = curve_type(germ)
     if isinstance(t, NotFiniteTypeUpTo):
         raise NotFiniteTypeError(
@@ -74,6 +77,11 @@ def tangent_map(germ: CurveGerm) -> TangentMapGerm:
     a1 = t.entries[0]
     K = germ.truncation
     T2 = K - a1 + 1
+    if T2 > MAX_TRUNCATION_2:
+        raise JetDomainError(
+            f"truncation {K} exceeds {MAX_TRUNCATION_2 + a1 - 1}, "
+            f"the largest the tangent map of a curve with a1 = {a1} supports"
+        )
     s = Jet2.variable(VAR_S, T2)
     comps: List[Jet2] = []
     for idx, x in enumerate(germ.components):
@@ -358,7 +366,7 @@ def morin_versal_opening(k: int, m: int) -> MorinOpening:
 
 
 class GeneratingFamilyError(ValueError):
-    """Type outside the supported patterns, or longer than the type cap."""
+    """Type outside the supported patterns."""
 
 
 @dataclass(frozen=True)
@@ -418,8 +426,6 @@ def generating_family_tangent(A: TypeSequence) -> GeneratingFamilySolution:
     and columns scaled by powers of t, so its unique solution is this one,
     and each x_{j+1} is a polynomial of two monomials in (t, x_1).
     """
-    if len(A) > MAX_TYPE_LENGTH:
-        raise GeneratingFamilyError(f"type length {len(A)} exceeds {MAX_TYPE_LENGTH}")
     pattern = _match_pattern(A)
     entries = A.entries
     N = len(entries) - 1

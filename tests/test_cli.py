@@ -87,6 +87,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
         (["enumerate", "--class", "plain", "--N", "256"], 257),
         (["normal-form", "--singularity", "cuspidal-edge", "--ambient", "100000000"], 100000000),
         (["family", "--type", ",".join(map(str, range(1, 258)))], 257),
+        (["codim", "--type", ",".join(map(str, range(1, 301)))], 300),
     ],
 )
 def test_type_length_cap(argv, length):
@@ -514,6 +515,32 @@ def test_batch_propagates_guard(tmp_path):
     assert code == 2
 
 
+NOT_ORDINARY = "kind: surface\ntruncation: 6\nx3: u^3\nx4: v^3\n"
+
+
+def test_batch_inconclusive_lines(tmp_path):
+    text = ZERO + "---\n" + NOT_ORDINARY + "---\n" + CUSP
+    assert run(["batch", write(tmp_path, "b.germs", text)]) == (
+        3,
+        "command: batch\ndocuments: 3\n"
+        "document 1: curve: not finite type up to truncation 6\n"
+        "document 2: surface: not ordinary, H = 0\n"
+        "document 3: curve: type (1,2,3)\n",
+    )
+    # an error document outranks both
+    text += "---\nkind: curve\ntruncation: 4\n"
+    code, out = run(["batch", write(tmp_path, "b.germs", text), "--format", "structured"])
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "batch",
+        "documents": 4,
+        "document 1": "curve: not finite type up to truncation 6",
+        "document 2": "surface: not ordinary, H = 0",
+        "document 3": "curve: type (1,2,3)",
+        "document 4": "error: curve documents need component lines",
+    }
+
+
 # -- internal invariant failures ---------------------------------------------------
 
 
@@ -713,3 +740,66 @@ def test_mesh_coordinate_guard(tmp_path):
         ["tangent", germ, "--mesh", str(tmp_path / "o.obj"), "--coords", "1,2,9"]
     )
     assert code == 2
+
+
+# -- usage errors and the tangent-map envelope ---------------------------------------
+
+
+USAGE_ERRORS = [
+    (["family"], "the following arguments are required: --type"),
+    (["codim", "--type", "-1,2"], "argument --type: expected one argument"),
+    (["enumerate", "--N", "x"], "argument --N: invalid int value: 'x'"),
+    (["family", "--type", "1,2,3", "--bogus"], "unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_report(capsys, argv, message):
+    assert run(argv) == (2, f"error: {message}\n")
+    assert capsys.readouterr().err.startswith("usage: tanvar")
+    # plain even when structured output was asked for
+    assert run(argv + ["--format", "structured"])[1] == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, invalid", [(["frob"], "'frob'"), (["type", "--format", "json"], "'json'")])
+def test_usage_error_invalid_choice(argv, invalid):
+    code, out = run(argv)
+    assert code == 2
+    assert out.startswith("error: argument ") and f"invalid choice: {invalid}" in out
+    assert out.count("\n") == 1
+
+
+def test_usage_error_without_a_subcommand():
+    assert run([]) == (2, "error: the following arguments are required: command\n")
+
+
+def test_usage_error_exits_with_report():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tanvar.cli", "codim", "--type", "-1,2"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "error: argument --type: expected one argument\n")
+    assert proc.stderr.startswith("usage: tanvar codim [-h] --type TYPE")
+    assert "Traceback" not in proc.stderr and "error" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["tangent", "opening"])
+@pytest.mark.parametrize(
+    "components, truncation, bound, a1",
+    [(("t", "t^2", "t^3"), 40, 24, 1), (("t^3", "t^4", "t^5"), 27, 26, 3)],
+)
+def test_tangent_map_envelope(tmp_path, command, components, truncation, bound, a1):
+    lines = "".join(f"component: {c}\n" for c in components)
+    path = write(tmp_path, "c.germ", f"kind: curve\ntruncation: {truncation}\n{lines}")
+    message = (
+        f"truncation {truncation} exceeds {bound}, "
+        f"the largest the tangent map of a curve with a1 = {a1} supports"
+    )
+    assert run([command, path]) == (2, f"error: {message}\n")
+    code, out = run([command, path, "--format", "structured"])
+    assert (code, json.loads(out)) == (2, {"error": message})
+    # the bound itself is supported
+    path = write(tmp_path, "c.germ", f"kind: curve\ntruncation: {bound}\n{lines}")
+    assert run([command, path])[0] == 0

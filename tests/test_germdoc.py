@@ -1,9 +1,17 @@
+import re
 from fractions import Fraction as F
+from typing import Tuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanvar.germdoc import (
+    _RATIONAL,
     GermDocumentError,
+    TermList,
+    _rational,
+    _tokenize,
     build_curve,
     build_matrix,
     build_surface,
@@ -130,3 +138,119 @@ def test_split_documents():
     assert len(chunks) == 2
     assert parse_document(chunks[0]).kind == "curve"
     assert parse_document(chunks[1]).kind == "matrix"
+
+
+@pytest.mark.parametrize("truncation", [25, 10 ** 9])
+def test_surface_truncation_above_the_jet_envelope(truncation):
+    # refused before a coefficient table of that size is allocated
+    doc = parse_document(f"kind: surface\ntruncation: {truncation}\nx3: u^2\nx4: v^2\n")
+    with pytest.raises(ValueError, match=r"^two-variable jets support total degree <= 24$"):
+        build_surface(doc)
+
+
+def test_document_fields_in_one_pass():
+    doc = parse_document("# head\n  KIND : curve # trailing\n\ntruncation:4\nclass: a: b\n")
+    assert (doc.kind, doc.truncation, doc.variables, doc.curve_class) == (
+        "curve", 4, ("t",), "a: b"
+    )
+    with pytest.raises(GermDocumentError, match=r"expected 'key: value', got 'component t'"):
+        parse_document("kind: curve\ncomponent t # no colon\nfoo\n")
+
+
+def reference_parse_terms(text: str, variables) -> TermList:
+    """The parser before it became one loop, kept verbatim as the oracle."""
+    var_index = {v: i for i, v in enumerate(variables)}
+    tokens = _tokenize(text)
+    if not tokens:
+        raise GermDocumentError("empty polynomial expression")
+    terms: TermList = []
+    i = 0
+    sign = 1
+    first = True
+
+    def parse_term(start: int) -> Tuple[int, F, Tuple[int, ...]]:
+        coeff = F(1)
+        exps = [0] * len(variables)
+        j = start
+        saw_factor = False
+        while j < len(tokens):
+            tok = tokens[j]
+            if tok in ("+", "-"):
+                break
+            if tok == "*":
+                j += 1
+                continue
+            if _RATIONAL.fullmatch(tok):
+                coeff *= _rational(tok, "bad coefficient")
+                saw_factor = True
+                j += 1
+                continue
+            if tok == "^":
+                raise GermDocumentError("misplaced '^'")
+            if tok not in var_index:
+                raise GermDocumentError(f"unknown variable {tok!r}")
+            exp = 1
+            j += 1
+            if j < len(tokens) and tokens[j] == "^":
+                j += 1
+                if j >= len(tokens) or not re.fullmatch(r"\d+", tokens[j]):
+                    raise GermDocumentError("exponent must be a natural number")
+                exp = int(tokens[j])
+                j += 1
+            exps[var_index[tok]] += exp
+            saw_factor = True
+        if not saw_factor:
+            raise GermDocumentError("empty term in polynomial expression")
+        return j, coeff, tuple(exps)
+
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok == "+":
+            i += 1
+            continue
+        if tok == "-":
+            sign = -sign
+            i += 1
+            continue
+        i, coeff, exps = parse_term(i)
+        terms.append((exps, sign * coeff))
+        sign = 1
+        first = False
+    if first:
+        raise GermDocumentError("expression has no terms")
+    return terms
+
+
+def outcome(parse, text, variables):
+    try:
+        return parse(text, variables)
+    except GermDocumentError as exc:
+        return type(exc), str(exc)
+
+
+# pieces that run together when joined without a blank ("2" "3", "-" "3", "t" "2")
+PIECES = ["t", "u", "x", "2", "-3", "1/2", "1/0", "007", "^", "*", "+", "-", "$", "\u0663",
+          "t^2", "u^3 v"]
+# the last tuple names variables after operators and numbers, which never act as one
+VARIABLES = [("t",), ("t", "u"), (), ("+", "-", "*", "^", "2", "-3", "t")]
+
+
+def pieces(*tokens):
+    return [(token, " ") for token in tokens]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " "])), max_size=10),
+    st.sampled_from(VARIABLES),
+)
+@example(pieces("t", "^", "t"), ("t",))
+@example(pieces("t", "t^2", "*", "u^3 v"), ("t", "u"))
+@example(pieces("*", "+", "t"), ("t",))
+@example(pieces("t", "-3", "-", "-", "1/2"), ("t",))
+@example(pieces("2", "^", "2", "-", "t", "^", "-3"), VARIABLES[-1])
+def test_parse_terms_matches_the_reference_parser(pieces, variables):
+    text = "".join(piece + gap for piece, gap in pieces)
+    assert outcome(parse_terms, text, variables) == outcome(
+        reference_parse_terms, text, variables
+    )

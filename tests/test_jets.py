@@ -1,5 +1,8 @@
 import ast
+import copy
+import json
 import pathlib
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import fractions, jet1s, jet2s
 from tanvar import linalg
+from tanvar.cli import run
 from tanvar.jets import (
     ABOVE_TRUNCATION,
     Jet1,
@@ -41,6 +45,28 @@ def test_above_truncation_comparisons():
     assert not (ABOVE_TRUNCATION > ABOVE_TRUNCATION)
     assert ABOVE_TRUNCATION == ABOVE_TRUNCATION
     assert ABOVE_TRUNCATION != 7
+    assert ABOVE_TRUNCATION > 10 ** 400
+    assert sorted([ABOVE_TRUNCATION, 3, 0]) == [0, 3, ABOVE_TRUNCATION]
+
+
+def test_above_truncation_prints_its_name_and_keeps_its_identity():
+    assert str(ABOVE_TRUNCATION) == repr(ABOVE_TRUNCATION) == "ABOVE_TRUNCATION"
+    assert f"{ABOVE_TRUNCATION}" == "ABOVE_TRUNCATION"
+    assert copy.copy(ABOVE_TRUNCATION) is ABOVE_TRUNCATION
+    assert copy.deepcopy([ABOVE_TRUNCATION])[0] is ABOVE_TRUNCATION
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(ABOVE_TRUNCATION, protocol)) is ABOVE_TRUNCATION
+
+
+def test_above_truncation_in_a_json_report(tmp_path):
+    # both lift multipliers of type (2,4,6) at truncation 6 vanish within truncation
+    doc = tmp_path / "c.germ"
+    doc.write_text("kind: curve\ntruncation: 6\ncomponent: t^2\ncomponent: t^4\ncomponent: t^6\n")
+    code, out = run(["tangent", str(doc), "--format", "structured"])
+    report = json.loads(out)
+    assert (code, report["order P3"], report["order Q3"]) == (
+        0, "ABOVE_TRUNCATION", "ABOVE_TRUNCATION"
+    )
 
 
 # -- ring operations -------------------------------------------------------------

@@ -153,6 +153,40 @@ def test_membership_certificate_found():
     assert verify_certificate((g1, g2), h, cert)
 
 
+def _certified_example():
+    (g1, g2), K = _membership_example()
+    h = Jet2.from_terms([(0, 3, F(2, 3)), (1, 2, F(1, 2))], K)
+    cert = jacobi_membership((g1, g2), h, 6)
+    assert verify_certificate((g1, g2), h, cert)
+    return (g1, g2), h, cert
+
+
+def test_certificate_with_one_changed_coefficient_is_rejected():
+    g, h, cert = _certified_example()
+    E = cert.verified_order
+    for j in (0, 1):
+        # below degree E: dg2 has no constant term, so q's degree-E part goes unchecked
+        for i, k in ((0, 0), (1, 1), (0, E - 1)):
+            mults = list(cert.multipliers)
+            mults[j] = mults[j] + Jet2.term(1, i, k, E)
+            assert not verify_certificate(g, h, OpeningCertificate(tuple(mults), E))
+
+
+def test_certificate_failing_only_in_the_dt_component_is_rejected():
+    # g1 = s, g2 = t^2 + s t: dg1 = (1, 0) and dg2 = (t, 2t + s), so moving
+    # p by -t and q by +1 leaves the ds-component and changes the dt-component
+    g, h, cert = _certified_example()
+    E = cert.verified_order
+    p, q = cert.multipliers
+    moved = (p - Jet2.variable(1, E), q + Jet2.constant(1, E))
+    for var, vanishes in ((0, True), (1, False)):
+        res = h.derivative(var).truncate(E)
+        for m, gj in zip(moved, g):
+            res = res - m * gj.derivative(var).truncate(E)
+        assert res.is_zero is vanishes
+    assert not verify_certificate(g, h, OpeningCertificate(moved, E))
+
+
 def test_membership_refuted_with_witness():
     (g1, g2), K = _membership_example()
     h = Jet2.variable(1, K)  # t
