@@ -37,7 +37,6 @@ from .surfaces import (
     OrdinaryPointClass,
     SajiTag,
     SymMatrix3,
-    VeroneseVerdict,
     complete_to_legendre,
     ordinary_point_class,
     saji_verdict,
@@ -74,13 +73,6 @@ INTERNAL = INCONCLUSIVE
 
 #: the library's own error classes all derive from ValueError
 _GUARD_ERRORS = (ValueError, ZeroDivisionError, OSError)
-
-_VERONESE_TEXT = {
-    VeroneseVerdict.ON_SURFACE: "on S",
-    VeroneseVerdict.IN_TANGENT: "in Tan(S)",
-    VeroneseVerdict.IN_SECANT_ONLY: "in Sec(S) \\ Tan(S)",
-    VeroneseVerdict.OUTSIDE: "outside Sec(S)",
-}
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -310,7 +302,7 @@ def _cmd_veronese(args) -> Tuple[int, Report]:
     else:
         matrix = build_matrix(parse_document(_read_input(args.input)))
     verdict = veronese_membership(matrix)
-    return OK, [("rank", matrix.rank()), ("membership", _VERONESE_TEXT[verdict])]
+    return OK, [("rank", matrix.rank()), ("membership", verdict.value)]
 
 
 def _cmd_opening(args) -> Tuple[int, Report]:
@@ -426,11 +418,8 @@ def _cmd_batch(args) -> Tuple[int, Report]:
                 if ordinary.tag is OrdinaryPointClass.NOT_ORDINARY:
                     saw_inconclusive = True
             else:
-                matrix = build_matrix(doc)
-                verdict = veronese_membership(matrix)
-                report.append(
-                    (f"document {idx}", f"matrix: {_VERONESE_TEXT[verdict]}")
-                )
+                verdict = veronese_membership(build_matrix(doc))
+                report.append((f"document {idx}", f"matrix: {verdict.value}"))
         except _GUARD_ERRORS as exc:
             report.append((f"document {idx}", f"error: {exc}"))
             saw_error = True

@@ -143,12 +143,13 @@ def parse_document(text: str) -> GermDocument:
         raise GermDocumentError("document needs exactly one 'kind: curve|surface|matrix'")
     doc = GermDocument(kind=kinds[0], variables=_KINDS[kinds[0]])
     for key, value in fields:
-        if key == "truncation":
-            doc.truncation = int(value)
+        if key in ("truncation", "ambient"):
+            try:
+                setattr(doc, key, int(value))
+            except ValueError:
+                raise GermDocumentError(f"{key}: {value!r} is not a natural number") from None
         elif key == "class":
             doc.curve_class = value
-        elif key == "ambient":
-            doc.ambient = int(value)
         elif key == "variables":
             doc.variables = tuple(value.split())
         elif key == "component":
@@ -194,11 +195,8 @@ def build_curve(doc: GermDocument) -> CurveGerm:
                 raise GermDocumentError(
                     f"exponent {exps[0]} exceeds truncation {doc.truncation}"
                 )
-        jet = Jet1.from_terms(((e[0], c) for e, c in terms), doc.truncation)
-        if jet.coefficient(0) != 0:
-            # germ centered at the origin of the chart
-            jet = jet - Jet1.constant(jet.coefficient(0), doc.truncation)
-        comps.append(jet)
+        # degree-0 terms are dropped: the germ is centered at the chart origin
+        comps.append(Jet1.from_terms(((e[0], c) for e, c in terms if e[0]), doc.truncation))
     if doc.ambient is not None and doc.ambient != len(comps):
         raise GermDocumentError(
             f"ambient {doc.ambient} does not match {len(comps)} components"

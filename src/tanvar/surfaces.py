@@ -85,15 +85,6 @@ class LegendreSurfaceGerm:
     def truncation(self) -> int:
         return self.x3.truncation
 
-    @property
-    def quad_rank(self) -> int:
-        a, b, c, e = self.quad
-        if any(x != 0 for x in (a * c - b * b, a * e - b * c, b * e - c * c)):
-            return 2
-        if any(x != 0 for x in (a, b, c, e)):
-            return 1
-        return 0
-
 
 def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
     """Solve for x5 from (x3, x4) and package the integral surface germ.
@@ -154,8 +145,10 @@ def h_invariant(quad: Sequence[Fraction]) -> Fraction:
 
 def ordinary_point_class(surface: LegendreSurfaceGerm) -> OrdinaryPointReport:
     """Hyperbolic/elliptic/parabolic verdict by the sign of the H invariant."""
+    a, b, c, e = surface.quad
     H = h_invariant(surface.quad)
-    if surface.quad_rank < 2:
+    # rank two needs a nonzero 2x2 minor of ((a, b, c), (b, c, e))
+    if a * c == b * b and a * e == b * c and b * e == c * c:
         return OrdinaryPointReport(OrdinaryPointClass.NOT_ORDINARY, H)
     if H < 0:
         return OrdinaryPointReport(OrdinaryPointClass.HYPERBOLIC, H)
@@ -399,7 +392,7 @@ def surface_tangent_map(
 class VeroneseVerdict(Enum):
     ON_SURFACE = "on S"
     IN_TANGENT = "in Tan(S)"
-    IN_SECANT_ONLY = "in Sec(S) only"
+    IN_SECANT_ONLY = "in Sec(S) \\ Tan(S)"
     OUTSIDE = "outside Sec(S)"
 
 

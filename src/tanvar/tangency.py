@@ -19,7 +19,8 @@ and returned with an explicit multiplier certificate either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .curves import CurveGerm, NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
@@ -82,16 +83,15 @@ def tangent_map(germ: CurveGerm) -> TangentMapGerm:
             f"truncation {K} exceeds {MAX_TRUNCATION_2 + a1 - 1}, "
             f"the largest the tangent map of a curve with a1 = {a1} supports"
         )
-    s = Jet2.variable(VAR_S, T2)
     comps: List[Jet2] = []
     for idx, x in enumerate(germ.components):
         v = x.derivative().shift_down(a1 - 1)
         if v is None:
             # a1 is the least order of any component, so this cannot happen
             raise InvariantError(f"component {idx + 1}: derivative not divisible by t^{a1 - 1}")
-        base = Jet2.from_jet1(x.truncate(T2), VAR_T, T2)
-        ruling = s * Jet2.from_jet1(v, VAR_T, T2)
-        comps.append(base + ruling)
+        # gamma at s-degree 0, delta at s-degree 1; from_terms drops degrees above T2
+        terms = [(0, k, c) for k, c in x.terms()] + [(1, k, c) for k, c in v.terms()]
+        comps.append(Jet2.from_terms(terms, T2))
     return TangentMapGerm(tuple(comps), germ, t)
 
 
@@ -326,6 +326,18 @@ class MorinOpening:
         return 1 + self.k + (self.k - 1) * self.m
 
 
+def _t_power_sum(variables: Tuple[str, ...], pairs, lead: Optional[int] = None) -> Poly:
+    """Sum of t^p times variable ``pos`` over the (p, pos) pairs, plus t^lead
+    when given; t is variable 0 and every coefficient is 1."""
+    n = len(variables)
+    monomials = [] if lead is None else [(lead,) + (0,) * (n - 1)]
+    for p, pos in pairs:
+        e = [0] * n
+        e[0], e[pos] = p, 1
+        monomials.append(tuple(e))
+    return Poly._normal(variables, dict.fromkeys(monomials, Fraction(1)))
+
+
 def morin_versal_opening(k: int, m: int) -> MorinOpening:
     """Exact generator table for the versal opening of the (k, m) Morin map."""
     if k < 1:
@@ -334,24 +346,17 @@ def morin_versal_opening(k: int, m: int) -> MorinOpening:
         raise ValueError("m must be >= 0")
     if k * (m + 1) > MAX_MORIN_VARIABLES:
         raise ValueError(f"variable count k*(m+1) = {k * (m + 1)} exceeds {MAX_MORIN_VARIABLES}")
-    lam = [f"l{j}" for j in range(1, k)]
-    mu = [[f"m{i}_{j}" for j in range(1, k + 1)] for i in range(1, m + 1)]
-    variables = tuple(["t"] + lam + [name for row in mu for name in row])
-    f = Poly.monomial(1, [k + 1 if v == "t" else 0 for v in variables], variables)
-    for j, name in enumerate(lam, start=1):
-        e = [0] * len(variables)
-        e[0] = j
-        e[list(variables).index(name)] = 1
-        f = f + Poly.monomial(1, e, variables)
-    gs = []
-    for i in range(m):
-        gi = Poly.zero(variables)
-        for j, name in enumerate(mu[i], start=1):
-            e = [0] * len(variables)
-            e[0] = j
-            e[list(variables).index(name)] = 1
-            gi = gi + Poly.monomial(1, e, variables)
-        gs.append(gi)
+    # l_j sits at position j and m{i}_j at i*k + j - 1
+    variables = (
+        "t",
+        *(f"l{j}" for j in range(1, k)),
+        *(f"m{i}_{j}" for i in range(1, m + 1) for j in range(1, k + 1)),
+    )
+    f = _t_power_sum(variables, ((j, j) for j in range(1, k)), lead=k + 1)
+    gs = [
+        _t_power_sum(variables, ((j, i * k + j - 1) for j in range(1, k + 1)))
+        for i in range(1, m + 1)
+    ]
     f_gens = tuple(f.weighted_integral("t", ell) for ell in range(1, k + 1))
     g_gens = tuple(
         tuple(gi.weighted_integral("t", ell) for ell in range(1, k))
@@ -437,11 +442,6 @@ def generating_family_tangent(A: TypeSequence) -> GeneratingFamilySolution:
         Poly._normal(out_vars, {(top - e, 0): c, (exps[0] - e, 1): l})
         for e, c, l in zip(exps[1:], const, lin)
     )
-    fam_vars = tuple(["t"] + [f"x{j}" for j in range(1, N + 2)])
-    family = Poly.monomial(1, [top] + [0] * (N + 1), fam_vars)
-    for j in range(1, N + 2):
-        e = [0] * len(fam_vars)
-        e[0] = exps[j - 1]
-        e[j] = 1
-        family = family + Poly.monomial(1, e, fam_vars)
+    fam_vars = ("t", *(f"x{j}" for j in range(1, N + 2)))
+    family = _t_power_sum(fam_vars, zip(exps, range(1, N + 2)), lead=top)
     return GeneratingFamilySolution(A, pattern, family, solved)

@@ -207,11 +207,17 @@ def test_surface_truncation_two_lacks_the_quadratic_part(tmp_path):
 
 
 def test_veronese_entries_flag():
-    code, out = run(["veronese", "--entries", "1 0 0 1 0 0"])
-    assert code == 0
-    assert "in Sec(S) \\ Tan(S)" in out
-    code, out = run(["veronese", "--entries", "1 0 0 -1 0 0"])
-    assert "in Tan(S)" in out
+    # one matrix per rank, and both kinds of rank two
+    for entries, rank, membership in [
+        ("1 2 3 4 6 9", 1, "on S"),
+        ("0 1 0 0 0 0", 2, "in Tan(S)"),
+        ("1 0 0 1 0 0", 2, "in Sec(S) \\ Tan(S)"),
+        ("2 1 0 2 0 1", 3, "outside Sec(S)"),
+    ]:
+        assert run(["veronese", "--entries", entries]) == (
+            0,
+            f"command: veronese\nrank: {rank}\nmembership: {membership}\n",
+        ), entries
 
 
 @pytest.mark.parametrize("token", ["0.5", "1e3", "1_000"])
@@ -658,6 +664,20 @@ def test_reports_deterministic(tmp_path):
         assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["veronese", "--entries", "1 0 0 1 0 0"], ["enumerate"], ["classify", "--type", "1,3,5,7"], []],
+)
+def test_package_runs_as_the_cli_module(argv):
+    env = {"PYTHONPATH": str(SRC)}
+    procs = [
+        subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env)
+        for module in ("tanvar", "tanvar.cli")
+    ]
+    assert (procs[0].returncode, procs[0].stdout) == (procs[1].returncode, procs[1].stdout)
+    assert procs[0].stdout and "Traceback" not in procs[0].stderr
+
+
 def test_subprocess_determinism():
     import subprocess
     import sys
@@ -803,3 +823,60 @@ def test_tangent_map_envelope(tmp_path, command, components, truncation, bound, 
     # the bound itself is supported
     path = write(tmp_path, "c.germ", f"kind: curve\ntruncation: {bound}\n{lines}")
     assert run([command, path])[0] == 0
+
+
+# -- every refusal, with its exact report ---------------------------------------------
+
+
+MESH_ARGS = ["normal-form", "--singularity", "cuspidal-edge", "--ambient", "3", "--mesh"]
+SURFACE_HEAD = "kind: surface\ntruncation: 4\n"
+
+#: (arguments, document or None, message); a document is written to a file whose
+#: path follows the arguments, and "{out}" in an argument names a scratch path
+REFUSALS = [
+    (["enumerate"], None, "enumerate needs --N"),
+    (["enumerate", "--class", "contact"], None, "enumerate --class contact needs --n"),
+    (["classify", "--type", "1,2,3,4", "--class", "contact"], None,
+     "contact types have odd length 2n+1 >= 3; pass --n explicitly"),
+    (["classify", "--type", "1,2,3", "--class", "flag"], None, "--class flag needs --k"),
+    (["classify", "--type", "1,2,3", "--ambient", "2"], None,
+     "ambient dimension below the type length"),
+    (MESH_ARGS + ["{out}", "--range", "1"], None, "range must look like '-1:1'"),
+    (MESH_ARGS + ["{out}", "--coords", "1,2"], None, "coords must look like '1,2,3'"),
+    (["veronese", "--entries", "1 0 0 1 0"], None, "need six entries a11 a12 a13 a22 a23 a33"),
+    (["codim", "--type", "1,3,2"], None, "type entries must increase strictly"),
+    (["codim", "--type", "0,1,2"], None, "type entries must be positive"),
+    (["batch"], "\n---\n  \n", "batch input contains no documents"),
+    (["type"], "kind: matrix\nentries: 1 0 0 0 0 0\n", "document is not a curve"),
+    (["type"], "kind: curve\ncomponent: t\n", "curve documents need a truncation"),
+    (["type"], "kind: curve\ntruncation: 0\ncomponent: t\n", "truncation must be >= 1"),
+    (["type"], "kind: curve\ntruncation: 257\ncomponent: t\n", "curve truncation exceeds 256"),
+    (["type"], "kind: curve\ntruncation: 4\n", "curve documents need component lines"),
+    (["type"], "kind: curve\ntruncation: 4\nvariables: t u\ncomponent: t\n",
+     "curves are one-variable"),
+    (["type"], "kind: curve\ntruncation: 4\ncomponent: t^5\n", "exponent 5 exceeds truncation 4"),
+    (["type"], "kind: curve\ntruncation: 4\nambient: 3\ncomponent: t\ncomponent: t^2\n",
+     "ambient 3 does not match 2 components"),
+    (["type"], "kind: curve\ntruncation: x3\ncomponent: t\n",
+     "truncation: 'x3' is not a natural number"),
+    (["type"], "kind: curve\ntruncation: 4\nambient: -\ncomponent: t\n",
+     "ambient: '-' is not a natural number"),
+    (["type"], "kind: curve\ntruncation: 4\ncolour: red\n", "unknown field 'colour'"),
+    (["surface"], CUSP, "document is not a surface"),
+    (["surface"], "kind: surface\nx3: u^2\nx4: v^2\n", "surface documents need a truncation"),
+    (["surface"], SURFACE_HEAD + "variables: u\nx3: u^2\nx4: u^3\n", "surfaces are two-variable"),
+    (["surface"], SURFACE_HEAD + "x3: u^2\n", "surface documents need x3 and x4 lines"),
+    (["surface"], SURFACE_HEAD + "x3: u^5\nx4: v^2\n", "x3: total degree 5 exceeds truncation"),
+    (["veronese"], CUSP, "document is not a matrix"),
+    (["veronese"], "kind: matrix\nentries: 1 0 0\n",
+     "matrix documents need 'entries: a11 a12 a13 a22 a23 a33'"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, message", REFUSALS, ids=[m for _, _, m in REFUSALS])
+def test_refusal_report(tmp_path, argv, doc, message):
+    argv = [arg.replace("{out}", str(tmp_path / "never.obj")) for arg in argv]
+    if doc is not None:
+        argv.append(write(tmp_path, "doc.germ", doc))
+    assert run(argv) == (2, f"error: {message}\n")
+    assert not (tmp_path / "never.obj").exists()

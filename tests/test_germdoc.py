@@ -122,6 +122,21 @@ def test_curve_truncation_bound():
         build_curve(doc)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("truncation: x3", "truncation: 'x3' is not a natural number"),
+        ("ambient: -", "ambient: '-' is not a natural number"),
+        ("truncation: 1/2", "truncation: '1/2' is not a natural number"),
+        ("ambient:", "ambient: '' is not a natural number"),
+    ],
+)
+def test_natural_number_fields_name_the_field(line, message):
+    with pytest.raises(GermDocumentError) as info:
+        parse_document(f"kind: curve\n{line}\ncomponent: t\n")
+    assert str(info.value) == message
+
+
 def test_missing_kind():
     with pytest.raises(GermDocumentError):
         parse_document("truncation: 5\ncomponent: t\n")

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import random_fraction, random_germ_of_type, random_invertible_matrix
 from tanvar import linalg
-from tanvar.curves import CurveGerm, TypeSequence
-from tanvar.jets import Jet1, Jet2, equal_as_polynomials
-from tanvar.polys import solve_ratfun_system
+from tanvar.curves import CurveGerm, NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
+from tanvar.jets import MAX_TRUNCATION_2, InvariantError, Jet1, Jet2, JetDomainError, equal_as_polynomials
+from tanvar.polys import Poly, solve_ratfun_system
 from tanvar.strata import MAX_TYPE_LENGTH
 from tanvar.tangency import (
+    VAR_S,
+    VAR_T,
     GeneratingFamilyError,
+    MorinOpening,
+    TangentMapGerm,
     NotFrontalUpTo,
     OpeningCertificate,
     Refuted,
@@ -526,3 +530,135 @@ def test_family_matches_sympy_solve_over_q_of_t():
                 for (a, b), c in p.terms
             )
             assert sympy.cancel(w - got) == 0, (entries, w, p)
+
+
+# -- term-map constructions against the ring arithmetic they replaced ---------------------------
+#
+# The three reference_* functions keep the former constructions verbatim: the tangent map by a
+# Jet2 product and sum per component, the family and the Morin bases by one Poly sum per term.
+
+
+def reference_tangent_map(germ: CurveGerm) -> TangentMapGerm:
+    t = curve_type(germ)
+    if isinstance(t, NotFiniteTypeUpTo):
+        raise NotFiniteTypeError(
+            f"germ is not of finite type within truncation {t.truncation}"
+        )
+    a1 = t.entries[0]
+    K = germ.truncation
+    T2 = K - a1 + 1
+    if T2 > MAX_TRUNCATION_2:
+        raise JetDomainError(
+            f"truncation {K} exceeds {MAX_TRUNCATION_2 + a1 - 1}, "
+            f"the largest the tangent map of a curve with a1 = {a1} supports"
+        )
+    s = Jet2.variable(VAR_S, T2)
+    comps = []
+    for idx, x in enumerate(germ.components):
+        v = x.derivative().shift_down(a1 - 1)
+        if v is None:
+            # a1 is the least order of any component, so this cannot happen
+            raise InvariantError(f"component {idx + 1}: derivative not divisible by t^{a1 - 1}")
+        base = Jet2.from_jet1(x.truncate(T2), VAR_T, T2)
+        ruling = s * Jet2.from_jet1(v, VAR_T, T2)
+        comps.append(base + ruling)
+    return TangentMapGerm(tuple(comps), germ, t)
+
+
+def reference_family(A: TypeSequence) -> Poly:
+    entries = A.entries
+    N = len(entries) - 1
+    top = entries[-1]
+    exps = [top - entries[j] for j in range(N)] + [0]  # exponents of x_1..x_{N+1}
+    fam_vars = tuple(["t"] + [f"x{j}" for j in range(1, N + 2)])
+    family = Poly.monomial(1, [top] + [0] * (N + 1), fam_vars)
+    for j in range(1, N + 2):
+        e = [0] * len(fam_vars)
+        e[0] = exps[j - 1]
+        e[j] = 1
+        family = family + Poly.monomial(1, e, fam_vars)
+    return family
+
+
+def reference_morin(k: int, m: int) -> MorinOpening:
+    lam = [f"l{j}" for j in range(1, k)]
+    mu = [[f"m{i}_{j}" for j in range(1, k + 1)] for i in range(1, m + 1)]
+    variables = tuple(["t"] + lam + [name for row in mu for name in row])
+    f = Poly.monomial(1, [k + 1 if v == "t" else 0 for v in variables], variables)
+    for j, name in enumerate(lam, start=1):
+        e = [0] * len(variables)
+        e[0] = j
+        e[list(variables).index(name)] = 1
+        f = f + Poly.monomial(1, e, variables)
+    gs = []
+    for i in range(m):
+        gi = Poly.zero(variables)
+        for j, name in enumerate(mu[i], start=1):
+            e = [0] * len(variables)
+            e[0] = j
+            e[list(variables).index(name)] = 1
+            gi = gi + Poly.monomial(1, e, variables)
+        gs.append(gi)
+    f_gens = tuple(f.weighted_integral("t", ell) for ell in range(1, k + 1))
+    g_gens = tuple(
+        tuple(gi.weighted_integral("t", ell) for ell in range(1, k))
+        for gi in gs
+    )
+    return MorinOpening(k, m, variables, f, tuple(gs), f_gens, g_gens)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5, unique=True),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=2 ** 32),
+    st.booleans(),
+)
+def test_tangent_map_matches_the_ring_construction(entries, extra, seed, degenerate):
+    entries = sorted(entries)
+    rng = random.Random(seed)
+    germ = random_germ_of_type(rng, entries, entries[-1] + extra, density=rng.random())
+    if degenerate:
+        # a repeated component leaves the germ of infinite type
+        germ = CurveGerm(germ.components + germ.components[-1:])
+    assert outcome(tangent_map, germ) == outcome(reference_tangent_map, germ)
+
+
+def test_family_matches_the_sum_construction():
+    types = list(family_types(24)) + [tuple(range(1, MAX_TYPE_LENGTH + 1))]
+    for entries in types:
+        A = TypeSequence(entries)
+        assert generating_family_tangent(A).family == reference_family(A), entries
+
+
+def test_morin_tables_match_the_sum_construction():
+    for k in range(1, 9):
+        for m in range(5):
+            assert morin_versal_opening(k, m) == reference_morin(k, m), (k, m)
+
+
+def test_term_map_constructions_make_no_ring_sums(monkeypatch, rng):
+    calls = []
+    for cls, name in [(Jet2, "__mul__"), (Jet2, "__add__"), (Poly, "__add__")]:
+        def counted(*args, _method=vars(cls)[name], _label=f"{cls.__name__}.{name}"):
+            calls.append(_label)
+            return _method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    tangent_map(monomial_curve(2, 3, 5, K=12))
+    tangent_map(random_germ_of_type(rng, (1, 3, 4, 6), 14))
+    generating_family_tangent(TypeSequence.of(1, 2, 4, 5))
+    generating_family_tangent(TypeSequence.of(*range(3, 20)))
+    morin_versal_opening(5, 3)
+    assert calls == []
+    # the counters see a ring sum and product when one is made
+    x = Jet2.variable(VAR_S, 2)
+    x * x + x
+    assert calls == ["Jet2.__mul__", "Jet2.__add__"]
