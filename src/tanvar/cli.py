@@ -27,6 +27,7 @@ from .germdoc import (
     build_matrix,
     build_surface,
     parse_document,
+    parse_integer,
     parse_rationals,
     split_documents,
 )
@@ -83,9 +84,9 @@ def _read_input(path: Optional[str]) -> str:
 
 
 def _parse_type(text: str) -> TypeSequence:
-    try:
-        entries = tuple(int(tok) for tok in text.replace("(", "").replace(")", "").split(","))
-    except ValueError:
+    tokens = text.replace("(", "").replace(")", "").split(",")
+    entries = tuple(parse_integer(tok.strip()) for tok in tokens)
+    if None in entries:
         raise GermDocumentError(f"cannot parse type {text!r}")
     return TypeSequence(entries)
 

@@ -25,8 +25,19 @@ class GermDocumentError(ValueError):
     """Malformed document or a field violating its constraints."""
 
 
-_TOKEN = re.compile(r"\s*(-?\d+/\d+|-?\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
-_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+# digits are ASCII: \d, str.isdecimal and int would also take other scripts' digits
+_TOKEN = re.compile(r"\s*(-?[0-9]+/[0-9]+|-?[0-9]+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NATURAL = re.compile(r"[0-9]+")
+
+
+def parse_integer(text: str) -> Optional[int]:
+    """``text`` as ASCII digits after at most one leading ``-``, else None.
+
+    ``int`` alone would also read ``+4``, ``4_0`` and the Arabic-Indic four.
+    A negative value is left to the caller's range check.
+    """
+    return int(text) if _NATURAL.fullmatch(text.removeprefix("-")) else None
 
 
 def _rational(tok: str, what: str) -> Fraction:
@@ -90,7 +101,7 @@ def parse_terms(text: str, variables: Sequence[str]) -> TermList:
         elif tok not in var_index:
             raise GermDocumentError(f"unknown variable {tok!r}")
         elif tokens[i] == "^":
-            if not tokens[i + 1].isdecimal():
+            if not _NATURAL.fullmatch(tokens[i + 1]):
                 raise GermDocumentError("exponent must be a natural number")
             exps[var_index[tok]] += int(tokens[i + 1])
             i += 2
@@ -144,10 +155,10 @@ def parse_document(text: str) -> GermDocument:
     doc = GermDocument(kind=kinds[0], variables=_KINDS[kinds[0]])
     for key, value in fields:
         if key in ("truncation", "ambient"):
-            try:
-                setattr(doc, key, int(value))
-            except ValueError:
-                raise GermDocumentError(f"{key}: {value!r} is not a natural number") from None
+            number = parse_integer(value)
+            if number is None:
+                raise GermDocumentError(f"{key}: {value!r} is not a natural number")
+            setattr(doc, key, number)
         elif key == "class":
             doc.curve_class = value
         elif key == "variables":

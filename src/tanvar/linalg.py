@@ -1,8 +1,10 @@
 """Sparse exact Gaussian elimination over the rationals.
 
 Every exact linear solve in the library goes through this module; its
-callers are the Jacobi-module membership solve, the rank filtration that
-reads a curve's type, and triangular normalization.  Jet arithmetic,
+callers are the Jacobi-module membership solve (the top-degree band left
+after Cramer's rule for a certified two-generator membership, the whole
+coefficient system otherwise), the rank filtration that reads a curve's
+type, and triangular normalization.  Jet arithmetic,
 division included, does not use it.  A row is a ``dict`` from column index
 to a nonzero ``Fraction``; an absent column is zero, and no row operation
 reads or writes a zero entry.  The coefficient systems built from jets are

@@ -11,9 +11,15 @@ components carry s-degree at most one by construction.
 For such maps the differentials of the higher components are combinations
 of the first two, with coefficients given by quotients of 2x2 Wronskian
 minors of the source curve.  Those quotients, when they exist at jet
-level, form the lift data of the map; membership of a differential in the
-module spanned by given differentials is decided by an exact linear solve
-and returned with an explicit multiplier certificate either way.
+level, form the lift data of the map, and the map being affine in s
+reduces their residual check to one-variable identities.  Membership of a
+differential in the module spanned by given differentials is returned with
+an explicit certificate either way: the multipliers, or the coefficient
+equation that fails.  For two generators with a Jacobian determinant D
+that does not vanish within truncation, Cramer's rule fixes every
+multiplier coefficient below the top ord D degrees and only that band is
+eliminated; otherwise, and for every refutation, the whole coefficient
+system is solved exactly.
 """
 
 from __future__ import annotations
@@ -148,16 +154,28 @@ def lift_residuals(
     Returns (verified_order, residuals); each residual is the pair of
     ds- and dt-components as two-variable jets truncated at verified_order.
     All residuals vanish exactly when the lift is correct.
+
+    The map is affine in s: f_i = gamma_i + s delta_i with
+    gamma_i' = t^(a1 - 1) delta_i.  So the ds-component is the one-variable
+    u = delta_i - P delta_1 - Q delta_2, and the dt-component is t^(a1 - 1) u
+    plus s times delta_i' - P delta_1' - Q delta_2'.
     """
     R = lift_verified_order(tmap, lift)
-    ds = [c.derivative(VAR_S).truncate(R) for c in tmap.components]
-    dt = [c.derivative(VAR_T).truncate(R) for c in tmap.components]
+    a1 = tmap.source_type.entries[0]
+    # delta_i is the s-coefficient of f_i.  Its derivative is exact below
+    # degree R; the degree-R slot stays 0, and the s t^R term it would feed
+    # lies above the truncation.
+    deltas = [Jet1(tuple(c.coefficient(1, k) for k in range(R + 1))) for c in tmap.components]
+    slopes = [Jet1.from_terms(((k - 1, k * c) for k, c in d.terms() if k), R) for d in deltas]
     residuals = []
     for i, pair in enumerate(lift, start=2):
-        p = Jet2.from_jet1(pair.p.truncate(R), VAR_T, R)
-        q = Jet2.from_jet1(pair.q.truncate(R), VAR_T, R)
-        rs = ds[i] - p * ds[0] - q * ds[1]
-        rt = dt[i] - p * dt[0] - q * dt[1]
+        p, q = pair.p.truncate(R), pair.q.truncate(R)
+        u = deltas[i] - p * deltas[0] - q * deltas[1]
+        v = slopes[i] - p * slopes[0] - q * slopes[1]
+        rs = Jet2.from_terms(((0, k, c) for k, c in u.terms()), R)
+        rt = Jet2.from_terms(
+            [(0, k + a1 - 1, c) for k, c in u.terms()] + [(1, k, c) for k, c in v.terms()], R
+        )
         residuals.append((rs, rt))
     return R, tuple(residuals)
 
@@ -188,35 +206,24 @@ class Refuted:
     detail: str
 
 
-def _tri_monomials(max_degree: int):
-    for d in range(max_degree + 1):
+def _tri_monomials(low: int, high: int):
+    for d in range(low, high + 1):
         for j in range(d + 1):
             yield d - j, j
 
 
-def jacobi_membership(
-    g: Sequence[Jet2], h: Jet2, order: int
-) -> Union[OpeningCertificate, Refuted]:
-    """Decide dh = sum_j p_j dg_j on jet coefficients up to the given order.
+def _solve_degrees(
+    dgs: Sequence[Tuple[Jet2, Jet2]], rhs: Tuple[Jet2, Jet2], E: int, low: int
+) -> Union[List[List[Tuple[int, int, Fraction]]], Refuted]:
+    """Coefficients in degrees low..E of p_j with sum_j p_j dg_j = rhs there.
 
-    Solves the exact linear system on the multiplier coefficients; among the
-    solutions the minimal-degree one is returned (free coefficients zero).
-    An inconsistent system yields the offending coefficient equation.
-
-    Pivot rule: unknowns are ordered by total degree, then multiplier index,
-    then monomial, and equations start in the order (1-form component,
-    monomial).  Each unknown in turn takes as pivot the first equation at or
-    below the current rank that involves it (see :mod:`tanvar.linalg`).
-    Witnesses and multipliers are therefore exactly those of a dense
-    Gauss-Jordan solve with the same rule.
+    Forms only the unknowns and the coefficient equations of total degree
+    low..E, so ``rhs`` must vanish below ``low`` (the whole system when
+    ``low`` is 0).  Returns each multiplier's terms, or the first
+    inconsistent equation as a :class:`Refuted`.
     """
-    E = min([order, h.truncation - 1] + [gj.truncation - 1 for gj in g])
-    if E < 0:
-        raise ValueError("no examinable coefficients at this truncation")
-    dgs = [(gj.derivative(VAR_S).truncate(E), gj.derivative(VAR_T).truncate(E)) for gj in g]
-    dhs = (h.derivative(VAR_S).truncate(E), h.derivative(VAR_T).truncate(E))
-    monomials = list(_tri_monomials(E))
-    unknowns = [(j, beta) for beta in monomials for j in range(len(g))]
+    monomials = list(_tri_monomials(low, E))
+    unknowns = [(j, beta) for beta in monomials for j in range(len(dgs))]
     # order unknowns by total degree first so that zeroed free variables
     # leave the minimal-degree solution
     unknowns.sort(key=lambda u: (u[1][0] + u[1][1], u[0], u[1]))
@@ -226,7 +233,7 @@ def jacobi_membership(
     row_of = {label: r for r, label in enumerate(labels)}
     rows = [{} for _ in labels]
     for var in (0, 1):
-        for bi, bj, c in dhs[var].terms():
+        for bi, bj, c in rhs[var].terms():
             rows[row_of[(var, (bi, bj))]][n] = c
         for j, dg in enumerate(dgs):
             for bi, bj, c in dg[var].terms():
@@ -244,13 +251,79 @@ def jacobi_membership(
             f"coefficient equation at 1-form component {var}, "
             f"monomial {alpha} reduces to 0 = {sol.value}",
         )
-    multipliers = tuple(
-        Jet2.from_terms(
-            ((beta[0], beta[1], sol[col_of[(j, beta)]]) for beta in monomials), E
-        )
-        for j in range(len(g))
-    )
-    return OpeningCertificate(multipliers, E)
+    return [
+        [(beta[0], beta[1], sol[col_of[(j, beta)]]) for beta in monomials] for j in range(len(dgs))
+    ]
+
+
+def _cramer_terms(
+    dgs: Sequence[Tuple[Jet2, Jet2]], dhs: Tuple[Jet2, Jet2], E: int
+) -> Optional[List[List[Tuple[int, int, Fraction]]]]:
+    """Multiplier terms of two generators by Cramer's rule and a band solve.
+
+    None when D = det J vanishes within truncation or the system turns out
+    inconsistent; :func:`jacobi_membership` then runs the full solve.
+    """
+    D = _wronskian(*dgs[0], *dgs[1])
+    if D.is_zero:
+        return None
+    L = E - D.order()
+    low = []
+    # N_1 = det(dh, dg2), then N_2 = det(dg1, dh), formed only when N_1 divides
+    for left, right in ((dhs, dgs[1]), (dgs[0], dhs)):
+        q = _wronskian(*left, *right).divide(D)
+        if q is None:
+            return None
+        low.append(Jet2.from_terms(q.terms(), E))
+    # D * residual vanishes to order E, so the residual starts above degree L
+    residual = tuple(dhs[v] - low[0] * dgs[0][v] - low[1] * dgs[1][v] for v in (0, 1))
+    band = _solve_degrees(dgs, residual, E, L + 1)
+    if isinstance(band, Refuted):
+        return None
+    return [list(q.terms()) + b for q, b in zip(low, band)]
+
+
+def jacobi_membership(
+    g: Sequence[Jet2], h: Jet2, order: int
+) -> Union[OpeningCertificate, Refuted]:
+    """Decide dh = sum_j p_j dg_j on jet coefficients up to the given order.
+
+    Solves the exact linear system on the multiplier coefficients; among the
+    solutions the minimal-degree one is returned (free coefficients zero).
+    An inconsistent system yields the offending coefficient equation.
+
+    Pivot rule: unknowns are ordered by total degree, then multiplier index,
+    then monomial, and equations start in the order (1-form component,
+    monomial).  Each unknown in turn takes as pivot the first equation at or
+    below the current rank that involves it (see :mod:`tanvar.linalg`).
+    Witnesses and multipliers are therefore exactly those of a dense
+    Gauss-Jordan solve with the same rule.
+
+    Two generators take a shorter road to the same answer.  With J the
+    Jacobian of (g1, g2) and D = det J, every solution satisfies
+    p_1 D = N_1 = h_s g2_t - g2_s h_t and p_2 D = N_2 = g1_s h_t - h_s g1_t
+    modulo degree E + 1.  So when D does not vanish within truncation and
+    both quotients exist, they fix every multiplier coefficient up to degree
+    L = E - ord D, and only the band of degrees L + 1..E is eliminated,
+    against the residual of dh.  The low coefficients are shared by all
+    solutions, so they are pivots of the full solve, and no dependency among
+    band columns involves them; the band, eliminated in the same column
+    order, therefore has the same pivots and the same minimal solution.
+    A missing quotient or an inconsistent band means no solution exists;
+    then, as for other generator counts, the full system is solved, which
+    gives the witness its row order fixes.
+    """
+    E = min([order, h.truncation - 1] + [gj.truncation - 1 for gj in g])
+    if E < 0:
+        raise ValueError("no examinable coefficients at this truncation")
+    dgs = [(gj.derivative(VAR_S).truncate(E), gj.derivative(VAR_T).truncate(E)) for gj in g]
+    dhs = (h.derivative(VAR_S).truncate(E), h.derivative(VAR_T).truncate(E))
+    terms = _cramer_terms(dgs, dhs, E) if len(g) == 2 else None
+    if terms is None:
+        terms = _solve_degrees(dgs, dhs, E, 0)
+        if isinstance(terms, Refuted):
+            return terms
+    return OpeningCertificate(tuple(Jet2.from_terms(t, E) for t in terms), E)
 
 
 def verify_certificate(g: Sequence[Jet2], h: Jet2, cert: OpeningCertificate) -> bool:

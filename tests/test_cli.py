@@ -861,6 +861,18 @@ REFUSALS = [
      "truncation: 'x3' is not a natural number"),
     (["type"], "kind: curve\ntruncation: 4\nambient: -\ncomponent: t\n",
      "ambient: '-' is not a natural number"),
+    # digits are ASCII, with no '+' and no '_'
+    (["type"], "kind: curve\ntruncation: +4\ncomponent: t\n",
+     "truncation: '+4' is not a natural number"),
+    (["type"], "kind: curve\ntruncation: 4_0\ncomponent: t\n",
+     "truncation: '4_0' is not a natural number"),
+    (["type"], "kind: curve\ntruncation: \u0666\ncomponent: t\n",
+     "truncation: '\u0666' is not a natural number"),
+    (["type"], "kind: curve\ntruncation: 4\ncomponent: t\ncomponent: t^\u0662\n",
+     "cannot tokenize '\u0662'"),
+    (["type"], "kind: curve\ntruncation: 4\ncomponent: t\ncomponent: \u0663t\n",
+     "cannot tokenize '\u0663t'"),
+    (["classify", "--type", "+1,2,\u0663"], None, "cannot parse type '+1,2,\u0663'"),
     (["type"], "kind: curve\ntruncation: 4\ncolour: red\n", "unknown field 'colour'"),
     (["surface"], CUSP, "document is not a surface"),
     (["surface"], "kind: surface\nx3: u^2\nx4: v^2\n", "surface documents need a truncation"),

@@ -129,12 +129,36 @@ def test_curve_truncation_bound():
         ("ambient: -", "ambient: '-' is not a natural number"),
         ("truncation: 1/2", "truncation: '1/2' is not a natural number"),
         ("ambient:", "ambient: '' is not a natural number"),
+        # int would read these three; the grammar's digits are ASCII 0-9
+        ("truncation: +4", "truncation: '+4' is not a natural number"),
+        ("truncation: 4_0", "truncation: '4_0' is not a natural number"),
+        ("ambient: \u0662", "ambient: '\u0662' is not a natural number"),
     ],
 )
 def test_natural_number_fields_name_the_field(line, message):
     with pytest.raises(GermDocumentError) as info:
         parse_document(f"kind: curve\n{line}\ncomponent: t\n")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t^\u0662", "cannot tokenize '\u0662'"),
+        ("\u0663t", "cannot tokenize '\u0663t'"),
+        ("t^2 + 1/\u0663", "cannot tokenize '/\u0663'"),
+        ("t^-2", "exponent must be a natural number"),
+    ],
+)
+def test_digits_are_ascii(text, message):
+    with pytest.raises(GermDocumentError) as info:
+        parse_terms(text, ("t",))
+    assert str(info.value) == message
+
+
+def test_a_negative_field_value_reaches_its_range_check():
+    doc = parse_document("kind: curve\ntruncation: -3\nambient: -1\ncomponent: t\n")
+    assert (doc.truncation, doc.ambient) == (-3, -1)
 
 
 def test_missing_kind():

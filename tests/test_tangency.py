@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_fraction, random_germ_of_type, random_invertible_matrix
-from tanvar import linalg
+from tanvar import linalg, tangency
 from tanvar.curves import CurveGerm, NotFiniteTypeError, NotFiniteTypeUpTo, TypeSequence, curve_type
 from tanvar.jets import MAX_TRUNCATION_2, InvariantError, Jet1, Jet2, JetDomainError, equal_as_polynomials
 from tanvar.polys import Poly, solve_ratfun_system
@@ -16,6 +16,7 @@ from tanvar.tangency import (
     VAR_S,
     VAR_T,
     GeneratingFamilyError,
+    LiftPair,
     MorinOpening,
     TangentMapGerm,
     NotFrontalUpTo,
@@ -25,6 +26,7 @@ from tanvar.tangency import (
     grassmann_lift,
     jacobi_membership,
     lift_residuals,
+    lift_verified_order,
     morin_versal_opening,
     opening_check,
     tangent_map,
@@ -291,6 +293,53 @@ def test_membership_invariant_under_source_changes(seed):
     if isinstance(after, OpeningCertificate):
         assert after.verified_order == before.verified_order
         assert verify_certificate(moved_g, moved_h, after)
+
+
+def test_membership_order_is_capped_by_the_operands():
+    (g1, g2), K = _membership_example()  # truncation 8: coefficients up to degree 7
+    h = Jet2.from_terms([(0, 3, F(2, 3)), (1, 2, F(1, 2))], K)
+    assert jacobi_membership((g1, g2), h, 20).verified_order == K - 1
+    assert jacobi_membership((g1, g2), h.truncate(5), 20).verified_order == 4
+    assert jacobi_membership((g1, g2.truncate(5)), h, 20).verified_order == 4
+
+
+def test_membership_at_order_zero_and_below():
+    (g1, g2), K = _membership_example()
+    cert = jacobi_membership((g1, g2), g1, 0)
+    assert cert == OpeningCertificate((Jet2.constant(1, 0), Jet2.zero(0)), 0)
+    with pytest.raises(ValueError, match="no examinable coefficients at this truncation"):
+        jacobi_membership((g1, g2), g1, -1)
+    with pytest.raises(ValueError, match="no examinable coefficients at this truncation"):
+        jacobi_membership((g1, g2), Jet2.zero(0), 3)
+
+
+@pytest.mark.parametrize("var", [VAR_S, VAR_T])
+def test_membership_keeps_the_lowest_degree_multipliers(var):
+    # d(x^2) = 2x dx, so both (2x, 0) and (0, 1) are multipliers of
+    # d(x^2) over (dx, d(x^2)); the solve keeps the one of lower degree
+    x = Jet2.variable(var, 6)
+    cert = jacobi_membership((x, x * x), x * x, 4)
+    assert cert == OpeningCertificate((Jet2.zero(4), Jet2.constant(1, 4)), 4)
+
+
+def test_certificate_claiming_more_than_the_operands_hold_is_refused():
+    (g1, g2), h, cert = _certified_example()  # verified to order 6
+    message = "operands hold less information than the certificate claims"
+    # h, then one generator, holds coefficients to degree 5 only
+    with pytest.raises(ValueError, match=message):
+        verify_certificate((g1, g2), h.truncate(6), cert)
+    with pytest.raises(ValueError, match=message):
+        verify_certificate((g1, g2.truncate(6)), h, cert)
+
+
+def test_opening_check_names_the_component_whose_lift_fails(monkeypatch):
+    tm = tangent_map(monomial_curve(1, 2, 3, 4, K=10))
+    good = grassmann_lift(tm)
+    bad = LiftPair(good[1].p + Jet1.term(1, 3, good[1].p.truncation), good[1].q)
+    monkeypatch.setattr(tangency, "grassmann_lift", lambda tmap: (good[0], bad))
+    message = r"^lift identity failed for component 4: nonzero residual$"
+    with pytest.raises(InvariantError, match=message):
+        opening_check(tm)
 
 
 def test_opening_check_cuspidal_edge():
@@ -662,3 +711,208 @@ def test_term_map_constructions_make_no_ring_sums(monkeypatch, rng):
     x = Jet2.variable(VAR_S, 2)
     x * x + x
     assert calls == ["Jet2.__mul__", "Jet2.__add__"]
+
+
+# -- membership by Cramer's rule against the full solve ------------------------------------
+#
+# reference_jacobi_membership and reference_lift_residuals keep the former functions
+# verbatim: the membership solve eliminated the whole coefficient system, and the lift
+# residuals were formed from two-variable products.
+
+
+def _tri_monomials(max_degree: int):
+    for d in range(max_degree + 1):
+        for j in range(d + 1):
+            yield d - j, j
+
+
+def reference_jacobi_membership(g, h, order):
+    E = min([order, h.truncation - 1] + [gj.truncation - 1 for gj in g])
+    if E < 0:
+        raise ValueError("no examinable coefficients at this truncation")
+    dgs = [(gj.derivative(VAR_S).truncate(E), gj.derivative(VAR_T).truncate(E)) for gj in g]
+    dhs = (h.derivative(VAR_S).truncate(E), h.derivative(VAR_T).truncate(E))
+    monomials = list(_tri_monomials(E))
+    unknowns = [(j, beta) for beta in monomials for j in range(len(g))]
+    # order unknowns by total degree first so that zeroed free variables
+    # leave the minimal-degree solution
+    unknowns.sort(key=lambda u: (u[1][0] + u[1][1], u[0], u[1]))
+    col_of = {u: c for c, u in enumerate(unknowns)}
+    n = len(unknowns)
+    labels = [(var, alpha) for var in (0, 1) for alpha in monomials]
+    row_of = {label: r for r, label in enumerate(labels)}
+    rows = [{} for _ in labels]
+    for var in (0, 1):
+        for bi, bj, c in dhs[var].terms():
+            rows[row_of[(var, (bi, bj))]][n] = c
+        for j, dg in enumerate(dgs):
+            for bi, bj, c in dg[var].terms():
+                for beta in monomials:
+                    alpha = (bi + beta[0], bj + beta[1])
+                    if alpha[0] + alpha[1] > E:
+                        break
+                    rows[row_of[(var, alpha)]][col_of[(j, beta)]] = c
+    sol = linalg.solve(rows, n)
+    if isinstance(sol, linalg.Inconsistent):
+        var, alpha = labels[sol.row]
+        return Refuted(
+            var,
+            alpha,
+            f"coefficient equation at 1-form component {var}, "
+            f"monomial {alpha} reduces to 0 = {sol.value}",
+        )
+    multipliers = tuple(
+        Jet2.from_terms(
+            ((beta[0], beta[1], sol[col_of[(j, beta)]]) for beta in monomials), E
+        )
+        for j in range(len(g))
+    )
+    return OpeningCertificate(multipliers, E)
+
+
+def reference_lift_residuals(tmap, lift):
+    R = lift_verified_order(tmap, lift)
+    ds = [c.derivative(VAR_S).truncate(R) for c in tmap.components]
+    dt = [c.derivative(VAR_T).truncate(R) for c in tmap.components]
+    residuals = []
+    for i, pair in enumerate(lift, start=2):
+        p = Jet2.from_jet1(pair.p.truncate(R), VAR_T, R)
+        q = Jet2.from_jet1(pair.q.truncate(R), VAR_T, R)
+        rs = ds[i] - p * ds[0] - q * ds[1]
+        rt = dt[i] - p * dt[0] - q * dt[1]
+        residuals.append((rs, rt))
+    return R, tuple(residuals)
+
+
+def random_jet2(rng, K, density, low=1):
+    return Jet2.from_terms(
+        [(d - j, j, random_fraction(rng)) for d in range(low, K + 1) for j in range(d + 1)
+         if rng.random() < density],
+        K,
+    )
+
+
+def membership_case(rng, generators, member):
+    """(g, h, order) with every truncation <= 9, so the order examined is <= 8.
+
+    ``generators`` picks g: the first two components of a tangent map; two
+    random jets; a pair with D = det(dg1, dg2) zero identically ("dependent")
+    or only within truncation ("flat"); one or three random jets.  ``member``
+    picks h: a combination of the g's and their product, the same plus one
+    monomial of any degree ("perturbed") or of the top examined degree
+    ("top"), or a random jet.
+    """
+    if generators == "tangent":
+        entries = rng.choice([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (2, 3, 5), (1, 3, 4, 6)])
+        tm = tangent_map(random_germ_of_type(rng, entries, rng.randint(entries[-1], 8 + entries[0])))
+        g = tm.components[:2]
+    else:
+        K = rng.randint(2, 7)
+        density = rng.uniform(0.1, 0.6)
+        if generators == "dependent":
+            x = random_jet2(rng, K, density)
+            g = (x, rng.randint(-2, 2) * x + x * x)
+        elif generators == "flat":
+            # D = 12 s^2 t^3 has degree 5, above every examined degree
+            K = min(K, 5)
+            g = (Jet2.term(1, 3, 0, K), Jet2.term(1, 0, 4, K) + random_jet2(rng, K, density, low=5))
+        else:
+            count = {"one": 1, "two": 2, "three": 3}[generators]
+            g = tuple(random_jet2(rng, K, density) for _ in range(count))
+    K = g[0].truncation
+    order = rng.randint(0, K)
+    if member == "random":
+        h = random_jet2(rng, K, rng.uniform(0.1, 0.6))
+    else:
+        h = g[0] * g[-1]
+        for gj in g:
+            h = h + rng.randint(-2, 2) * gj
+        if member != "member":
+            # "top" perturbs dh in the highest examined degree, inside the band
+            d = rng.randint(1, K) if member == "perturbed" else min(order + 1, K)
+            j = rng.randint(0, d)
+            h = h + Jet2.term(random_fraction(rng, nonzero=True), d - j, j, K)
+    return g, h, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["tangent", "tangent", "two", "dependent", "flat", "one", "three"]),
+    st.sampled_from(["member", "perturbed", "top", "random"]),
+    st.integers(min_value=0, max_value=2 ** 32),
+)
+def test_membership_matches_the_full_solve(generators, member, seed):
+    g, h, order = membership_case(random.Random(seed), generators, member)
+    assert jacobi_membership(g, h, order) == reference_jacobi_membership(g, h, order)
+
+
+def _order_of_det(g, E):
+    (g1s, g1t), (g2s, g2t) = [
+        (x.derivative(VAR_S).truncate(E), x.derivative(VAR_T).truncate(E)) for x in g
+    ]
+    return (g1s * g2t - g2s * g1t).order()
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 4), (1, 3, 4, 6), (2, 3, 4, 5)])
+def test_certified_membership_eliminates_only_the_top_band(monkeypatch, rng, entries):
+    E = 10
+    tm = tangent_map(random_germ_of_type(rng, entries, E + entries[0]))
+    g, h = tm.components[:2], tm.components[2]
+    d = _order_of_det(g, E)
+    assert d == entries[1] - entries[0]
+    sizes = []
+    real = linalg.solve
+
+    def spy(rows, n):
+        sizes.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(linalg, "solve", spy)
+    cert = jacobi_membership(g, h, E)
+    assert isinstance(cert, OpeningCertificate) and cert.verified_order == E
+    assert len(sizes) == 1 and sizes[0] <= 2 * d * (E + 1) < 2 * 66
+    # a non-member still gets the whole system, whose last equation order gives the witness
+    sizes.clear()
+    refuted = jacobi_membership(g, h + Jet2.term(1, 0, 6, h.truncation), E)
+    assert isinstance(refuted, Refuted)
+    assert sizes[-1] == 2 * 66
+
+
+def test_lift_residuals_match_the_two_variable_products(rng):
+    cases = 0
+    for _ in range(60):
+        entries = rng.choice([(1, 2, 3), (1, 2, 4, 5), (1, 3, 4, 6), (2, 3, 4), (2, 3, 5, 7)])
+        # truncations from a1 + a2 - 1, where the lift has truncation 0
+        K = rng.randint(entries[0] + entries[1] - 1, entries[-1] + 8)
+        if K < entries[-1]:
+            K = entries[-1]
+        tm = tangent_map(random_germ_of_type(rng, entries, K))
+        lift = grassmann_lift(tm)
+        if isinstance(lift, NotFrontalUpTo):
+            continue
+        wrong = tuple(
+            LiftPair(pair.p + Jet1.term(random_fraction(rng), rng.randint(0, R), R), pair.q)
+            for pair in lift
+            for R in [pair.p.truncation]
+        )
+        for pairs in (lift, wrong):
+            assert lift_residuals(tm, pairs) == reference_lift_residuals(tm, pairs)
+        cases += 1
+    assert cases >= 40
+
+
+def test_inconsistent_band_falls_back_to_the_full_solve(monkeypatch):
+    # both Cramer quotients exist here, and only the band solve finds the contradiction
+    K = 4
+    g = (Jet2.from_terms([(1, 1, 1), (0, 3, 1)], K), Jet2.from_terms([(1, 1, 1), (0, 2, -2)], K))
+    h = Jet2.from_terms([(3, 0, F(-4, 3)), (1, 2, -1)], K)
+    sizes = []
+    real = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda rows, n: sizes.append(n) or real(rows, n))
+    assert _order_of_det(g, 2) == 2
+    verdict = jacobi_membership(g, h, 2)
+    assert sizes == [2 * (2 + 3), 2 * 6]  # degrees 1..2, then 0..2
+    assert verdict == reference_jacobi_membership(g, h, 2)
+    assert verdict.detail == (
+        "coefficient equation at 1-form component 0, monomial (2, 0) reduces to 0 = -4"
+    )
