@@ -23,13 +23,16 @@ the number of variables: ``+``, ``-``, negation, scalar ``*``, the
 equal-truncation check, ``is_zero``, ``order``, ``truncate``, ``zero``,
 ``constant`` and ``str``, and with them :func:`align` and
 :func:`equal_as_polynomials`.  Products, calculus, construction from terms,
-composition and rendering are written per class.
+composition and rendering are written per class.  A two-variable product
+multiplies integer numerators over each operand's common denominator and
+returns ``Fraction`` coefficients like every other operation.
 
 All jet values are immutable; every operation returns a fresh jet.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,6 +86,8 @@ class _AboveTruncation(float):
 ABOVE_TRUNCATION = _AboveTruncation("inf")
 
 ExtOrder = Union[int, _AboveTruncation]
+
+_ZERO = Fraction(0)
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -435,15 +440,27 @@ class Jet2(_Jet):
         if isinstance(other, Jet2):
             self._require_same(other)
             K = self.truncation
-            out = [Fraction(0)] * _tri_size(K)
-            right = list(other.terms())
-            for i1, j1, c1 in self.terms():
-                for i2, j2, c2 in right:
-                    i, j = i1 + i2, j1 + j2
-                    if i + j <= K:
-                        out[_tri_index(i, j)] += c1 * c2
-            return Jet2(tuple(out), K)
+            # products of integer numerators over one denominator per operand;
+            # the pairs of a left term run by increasing degree, so they stop
+            # at the first one past the truncation
+            left, dl = self._numerators()
+            right, dr = other._numerators()
+            out = [0] * _tri_size(K)
+            for d1, j1, n1 in left:
+                for d2, j2, n2 in right:
+                    d = d1 + d2
+                    if d > K:
+                        break
+                    out[d * (d + 1) // 2 + j1 + j2] += n1 * n2
+            den = dl * dr
+            return Jet2(tuple(Fraction(n, den) if n else _ZERO for n in out), K)
         return self._scale(other)
+
+    def _numerators(self):
+        """(total degree, j, numerator) over the terms, and their common denominator."""
+        terms = list(self.terms())
+        den = math.lcm(*(c.denominator for _, _, c in terms))
+        return [(i + j, j, c.numerator * (den // c.denominator)) for i, j, c in terms], den
 
     # -- calculus -------------------------------------------------------------------
 

@@ -452,3 +452,47 @@ def test_jet_core_imports_no_other_tanvar_module():
         elif isinstance(node, ast.Import):
             found += [alias.name for alias in node.names if alias.name.split(".")[0] == "tanvar"]
     assert found == []
+
+
+# -- the product on integer numerators against the Fraction loop it replaced ----------------
+
+
+def reference_jet2_mul(self, other):
+    """The former ``Jet2.__mul__`` for two jets, its loop copied unchanged."""
+    self._require_same(other)
+    K = self.truncation
+    out = [F(0)] * _tri_size(K)
+    right = list(other.terms())
+    for i1, j1, c1 in self.terms():
+        for i2, j2, c2 in right:
+            i, j = i1 + i2, j1 + j2
+            if i + j <= K:
+                out[_tri_index(i, j)] += c1 * c2
+    return Jet2(tuple(out), K)
+
+
+@st.composite
+def product_operands(draw):
+    """Two jets of one truncation up to the envelope, dense or sparse, with
+    denominators up to 50 so that the common denominators differ."""
+    K = draw(st.integers(0, 24))
+    if draw(st.booleans()) and K <= 6:
+        size = _tri_size(K)
+        dense = st.lists(fractions(9, 50), min_size=size, max_size=size)
+        return Jet2(tuple(draw(dense)), K), Jet2(tuple(draw(dense)), K)
+    term = st.tuples(st.integers(0, K), st.integers(0, K), fractions(9, 50))
+
+    def sparse():
+        terms = draw(st.lists(term, max_size=12))
+        return Jet2.from_terms([(n - j % (n + 1), j % (n + 1), c) for n, j, c in terms], K)
+
+    return sparse(), sparse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_jet2_product_matches_the_fraction_loop(operands):
+    a, b = operands
+    product = a * b
+    assert product == reference_jet2_mul(a, b)
+    assert all(type(c) is F for c in product.coeffs)
