@@ -83,6 +83,17 @@ def _read_input(path: Optional[str]) -> str:
         return handle.read()
 
 
+def _integer(text: str) -> int:
+    """An integer option, read by the document rule (:func:`parse_integer`)."""
+    value = parse_integer(text.strip())
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
+_integer.__name__ = "int"  # argparse's refusal names it: "invalid int value: 'x'"
+
+
 def _parse_type(text: str) -> TypeSequence:
     tokens = text.replace("(", "").replace(")", "").split(",")
     entries = tuple(parse_integer(tok.strip()) for tok in tokens)
@@ -209,11 +220,10 @@ def _parse_range(text: str) -> Tuple[float, float]:
 
 
 def _parse_coords(text: str) -> Tuple[int, int, int]:
-    try:
-        a, b, c = (int(x) for x in text.split(","))
-        return a, b, c
-    except ValueError:
+    coords = tuple(parse_integer(x.strip()) for x in text.split(","))
+    if len(coords) != 3 or None in coords:
         raise GermDocumentError("coords must look like '1,2,3'")
+    return coords
 
 
 def _write_mesh(args, components, provenance: str) -> Tuple[str, str]:
@@ -281,11 +291,11 @@ def _cmd_surface(args) -> Tuple[int, Report]:
     if ordinary.tag is OrdinaryPointClass.NOT_ORDINARY:
         report.append(("verdict", "not an ordinary point (rank < 2)"))
         return INCONCLUSIVE, report
-    g1, g2, g3 = transversal_slice(surface)
-    report.append(("slice g1", g1.render(("u", "v"))))
-    report.append(("slice g2", g2.render(("u", "v"))))
-    report.append(("slice g3", g3.render(("u", "v"))))
-    verdict = saji_verdict((g1, g2, g3))
+    g = transversal_slice(surface)
+    report.append(("slice g1", g.g1.render(("u", "v"))))
+    report.append(("slice g2", g.g2.render(("u", "v"))))
+    report.append(("slice g3", g.g3.render(("u", "v"))))
+    verdict = saji_verdict(g)
     report.append(("D4 verdict", verdict.tag.value))
     if verdict.hessian_determinant is not None:
         report.append(("identifier Hessian", str(verdict.hessian_determinant)))
@@ -442,15 +452,15 @@ def _arg(*flags: str, **options) -> Arg:
 _INPUT = _arg("input", nargs="?")
 _CLASS_FLAGS = (
     _arg("--class", dest="curve_class", choices=tuple(CLASSES) + ("flag",), default="plain"),
-    _arg("--N", type=int),
-    _arg("--n", type=int),
-    _arg("--k", type=int),
+    _arg("--N", type=_integer),
+    _arg("--n", type=_integer),
+    _arg("--k", type=_integer),
 )
 _MESH_FLAGS = (
     _arg("--mesh", help="write an OBJ mesh here"),
     _arg("--coords", default="1,2,3"),
     _arg("--range", default="-1:1"),
-    _arg("--grid", type=int, default=50),
+    _arg("--grid", type=_integer, default=50),
 )
 #: added to every subcommand, after its own arguments
 _FORMAT = _arg("--format", choices=("plain", "structured"), default="plain")
@@ -462,7 +472,7 @@ COMMANDS = (
         "classify",
         "singularity of the tangent variety",
         _cmd_classify,
-        (_INPUT, _arg("--type"), _arg("--ambient", type=int), *_CLASS_FLAGS),
+        (_INPUT, _arg("--type"), _arg("--ambient", type=_integer), *_CLASS_FLAGS),
     ),
     Subcommand("enumerate", "generic types of a curve class", _cmd_enumerate, _CLASS_FLAGS),
     Subcommand(
@@ -489,7 +499,7 @@ COMMANDS = (
         "morin",
         "versal opening generator table",
         _cmd_morin,
-        (_arg("--k", type=int, required=True), _arg("--m", type=int, default=0)),
+        (_arg("--k", type=_integer, required=True), _arg("--m", type=_integer, default=0)),
     ),
     Subcommand(
         "family",
@@ -503,7 +513,7 @@ COMMANDS = (
         _cmd_normal_form,
         (
             _arg("--singularity", required=True),
-            _arg("--ambient", type=int, required=True),
+            _arg("--ambient", type=_integer, required=True),
             *_MESH_FLAGS,
         ),
     ),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curves import CurveGerm
-from .jets import MAX_TRUNCATION_1, Jet1, Jet2
+from .jets import MAX_TRUNCATION_1, MAX_TRUNCATION_2, Jet1, Jet2
 from .surfaces import SymMatrix3
 
 TermList = List[Tuple[Tuple[int, ...], Fraction]]
@@ -224,6 +224,9 @@ def build_surface(doc: GermDocument) -> Tuple[Jet2, Jet2]:
         raise GermDocumentError("surfaces are two-variable")
     if "x3" not in doc.named or "x4" not in doc.named:
         raise GermDocumentError("surface documents need x3 and x4 lines")
+    # x5 is built one degree above the chart, inside the two-variable jet envelope
+    if doc.truncation >= MAX_TRUNCATION_2:
+        raise GermDocumentError(f"surface truncation exceeds {MAX_TRUNCATION_2 - 1}")
     out = []
     for key in ("x3", "x4"):
         terms = doc.named[key]

@@ -22,15 +22,19 @@ Euler-type operator X - u X_u - v X_v applied to (x3, x4, x5); the slice
 satisfies dg3 + u dg1 + v dg2 = 0 exactly, which makes (u, v, 1) a normal
 along it and feeds the rank-zero/Hessian-sign verdict for the two
 three-dimensional umbrella-point classes.  The identity has one formula,
-:func:`slice_frontality_residuals`; the slice and the default verdict use it.
+:func:`slice_frontality_residuals`.  :func:`transversal_slice` checks it and
+returns a :class:`Slice`; the default verdict checks it again only for a
+germ that is not a :class:`Slice` (a plain tuple), so each path to a verdict
+checks it once.  The slice reuses the Euler complements of x3 and x4 that
+the completion built for the potential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .jets import InvariantError, Jet2, JetDomainError, align
 
@@ -80,6 +84,8 @@ class LegendreSurfaceGerm:
     x3: Jet2
     x4: Jet2
     x5: Jet2  # derived; truncation one above x3/x4
+    #: the Euler complements (A, B) of x3 and x4, which become the slice's g1, g2
+    complements: Tuple[Jet2, Jet2] = field(compare=False, repr=False)
 
     @property
     def truncation(self) -> int:
@@ -92,8 +98,9 @@ def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
     Requires truncation at least 2, zero constant and linear parts and the
     integrability condition x3_v = x4_u (checked coefficientwise; the first
     offending coefficient is reported), under which dx5 = A du + B dv with A
-    and B the Euler complements of x3 and x4.  The contact pullback vanishing
-    is re-checked exactly; an :class:`InvariantError` reports a failure.
+    and B the Euler complements of x3 and x4, which the germ keeps for the
+    slice.  The contact pullback vanishing is re-checked exactly; an
+    :class:`InvariantError` reports a failure.
     """
     if x3.truncation != x4.truncation:
         raise ValueError("x3 and x4 must share one truncation order")
@@ -122,7 +129,7 @@ def complete_to_legendre(x3: Jet2, x4: Jet2) -> LegendreSurfaceGerm:
     theta_v = x5.derivative(VAR_V) - B
     if not (theta_u.is_zero and theta_v.is_zero):
         raise InvariantError("contact pullback failed to vanish after integration")
-    return LegendreSurfaceGerm((a, b, c, e), x3, x4, x5)
+    return LegendreSurfaceGerm((a, b, c, e), x3, x4, x5, (A, B))
 
 
 class OrdinaryPointClass(Enum):
@@ -157,19 +164,31 @@ def ordinary_point_class(surface: LegendreSurfaceGerm) -> OrdinaryPointReport:
     return OrdinaryPointReport(OrdinaryPointClass.PARABOLIC, H)
 
 
-def transversal_slice(surface: LegendreSurfaceGerm) -> Tuple[Jet2, Jet2, Jet2]:
+class Slice(NamedTuple):
+    """A slice (g1, g2, g3) whose identity dg3 + u dg1 + v dg2 = 0 was checked.
+
+    Only :func:`transversal_slice` builds one; :func:`saji_verdict` trusts the
+    identity of a :class:`Slice` and checks it again for any other germ.
+    """
+
+    g1: Jet2
+    g2: Jet2
+    g3: Jet2
+
+
+def transversal_slice(surface: LegendreSurfaceGerm) -> Slice:
     """Slice of the tangent map along s = -u, t = -v, as (g1, g2, g3).
 
-    The slice satisfies dg3 + u dg1 + v dg2 = 0 exactly; this is checked
-    before returning, and an :class:`InvariantError` reports a failure.
+    g1 and g2 are the Euler complements of x3 and x4, which the completion
+    built.  The slice satisfies dg3 + u dg1 + v dg2 = 0 exactly; this is
+    checked before returning, and an :class:`InvariantError` reports a failure.
     """
-    g1 = _euler_complement(surface.x3)
-    g2 = _euler_complement(surface.x4)
+    g1, g2 = surface.complements
     g3 = _euler_complement(surface.x5)
     res_u, res_v = slice_frontality_residuals(g1, g2, g3)
     if not (res_u.is_zero and res_v.is_zero):
         raise InvariantError("slice frontality identity failed")
-    return g1, g2, g3
+    return Slice(g1, g2, g3)
 
 
 def _partials(g: Sequence[Jet2]) -> Tuple[List[Jet2], List[Jet2]]:
@@ -220,9 +239,11 @@ def saji_verdict(
     the verdict.  The normal must annihilate dg at the full common truncation
     K of dg and nu: for the default normal that pairing is the slice identity
     of :func:`slice_frontality_residuals`, and a supplied one is paired with
-    the full-order partials.  lambda is formed from the 2-jets of dg and nu
-    only, read from the 3-jets of g, which is exact, because the terms of
-    degree <= 2 of a product depend only on those of its factors.
+    the full-order partials.  A :class:`Slice` with the default normal skips
+    that pairing: :func:`transversal_slice` checked its identity to order
+    K + 1.  lambda is formed from the 2-jets of dg and nu only, read from the
+    3-jets of g, which is exact, because the terms of degree <= 2 of a
+    product depend only on those of its factors.
     """
     if normal is not None:
         normal = tuple(normal)
@@ -233,7 +254,10 @@ def saji_verdict(
         return SajiResult(SajiTag.INCONCLUSIVE, None, "differential at the origin has rank > 0")
     K = min(x.truncation for x in g) - 1
     if normal is None:
-        pairings = [r.truncate(K) for r in slice_frontality_residuals(*g)]
+        if isinstance(g, Slice):  # transversal_slice checked its identity
+            pairings = []
+        else:
+            pairings = [r.truncate(K) for r in slice_frontality_residuals(*g)]
         normal = (Jet2.variable(VAR_U, 2), Jet2.variable(VAR_V, 2), Jet2.constant(1, 2))
     else:
         K = min([K] + [x.truncation for x in normal])

@@ -825,6 +825,24 @@ def test_tangent_map_envelope(tmp_path, command, components, truncation, bound, 
     assert run([command, path])[0] == 0
 
 
+def test_surface_truncation_envelope(tmp_path):
+    # x5 is built one degree above the chart, so 23 is the last accepted truncation
+    def surface(truncation):
+        text = f"kind: surface\ntruncation: {truncation}\nx3: u^2 + u^5\nx4: v^2\n"
+        return write(tmp_path, "s.germ", text)
+
+    code, out = run(["surface", surface(23)])
+    assert code == 0
+    assert "D4 verdict: D4+\nidentifier Hessian: -16\n" in out
+    assert run(["batch", surface(23)]) == (
+        0, "command: batch\ndocuments: 1\ndocument 1: surface: hyperbolic, H = -16\n"
+    )
+    assert run(["surface", surface(24)]) == (2, "error: surface truncation exceeds 23\n")
+    assert run(["batch", surface(24)]) == (
+        2, "command: batch\ndocuments: 1\ndocument 1: error: surface truncation exceeds 23\n"
+    )
+
+
 # -- every refusal, with its exact report ---------------------------------------------
 
 
@@ -873,12 +891,27 @@ REFUSALS = [
     (["type"], "kind: curve\ntruncation: 4\ncomponent: t\ncomponent: \u0663t\n",
      "cannot tokenize '\u0663t'"),
     (["classify", "--type", "+1,2,\u0663"], None, "cannot parse type '+1,2,\u0663'"),
+    # integer options follow the same rule
+    (["classify", "--type", "1,2,3", "--ambient", "\u0663"], None,
+     "argument --ambient: invalid int value: '\u0663'"),
+    (["normal-form", "--singularity", "cuspidal-edge", "--ambient", "+3"], None,
+     "argument --ambient: invalid int value: '+3'"),
+    (["enumerate", "--N", "4_0"], None, "argument --N: invalid int value: '4_0'"),
+    (["enumerate", "--class", "contact", "--n", "+2"], None,
+     "argument --n: invalid int value: '+2'"),
+    (["classify", "--type", "1,2,3", "--class", "flag", "--k", "\u0661"], None,
+     "argument --k: invalid int value: '\u0661'"),
+    (["morin", "--k", "+2"], None, "argument --k: invalid int value: '+2'"),
+    (["morin", "--k", "2", "--m", "1_0"], None, "argument --m: invalid int value: '1_0'"),
+    (MESH_ARGS + ["{out}", "--grid", "+5"], None, "argument --grid: invalid int value: '+5'"),
     (["type"], "kind: curve\ntruncation: 4\ncolour: red\n", "unknown field 'colour'"),
     (["surface"], CUSP, "document is not a surface"),
     (["surface"], "kind: surface\nx3: u^2\nx4: v^2\n", "surface documents need a truncation"),
     (["surface"], SURFACE_HEAD + "variables: u\nx3: u^2\nx4: u^3\n", "surfaces are two-variable"),
     (["surface"], SURFACE_HEAD + "x3: u^2\n", "surface documents need x3 and x4 lines"),
     (["surface"], SURFACE_HEAD + "x3: u^5\nx4: v^2\n", "x3: total degree 5 exceeds truncation"),
+    (["surface"], SURFACE_HEAD + "x3: 1 + u^2\nx4: v^2\n",
+     "surface chart components need zero 1-jets"),
     (["veronese"], CUSP, "document is not a matrix"),
     (["veronese"], "kind: matrix\nentries: 1 0 0\n",
      "matrix documents need 'entries: a11 a12 a13 a22 a23 a33'"),
@@ -892,3 +925,12 @@ def test_refusal_report(tmp_path, argv, doc, message):
         argv.append(write(tmp_path, "doc.germ", doc))
     assert run(argv) == (2, f"error: {message}\n")
     assert not (tmp_path / "never.obj").exists()
+
+
+@pytest.mark.parametrize("coords", ["1,+2,3", "1,2,\u0663", "1,2_0,3", "1,2,3,4"])
+def test_coords_follow_the_integer_rule(tmp_path, coords):
+    target = tmp_path / "never.obj"
+    assert run(MESH_ARGS + [str(target), "--coords", coords]) == (
+        2, "error: coords must look like '1,2,3'\n"
+    )
+    assert not target.exists()

@@ -179,11 +179,12 @@ def test_split_documents():
     assert parse_document(chunks[1]).kind == "matrix"
 
 
-@pytest.mark.parametrize("truncation", [25, 10 ** 9])
+@pytest.mark.parametrize("truncation", [24, 25, 10 ** 9])
 def test_surface_truncation_above_the_jet_envelope(truncation):
-    # refused before a coefficient table of that size is allocated
+    # refused before a coefficient table of that size is allocated; x5 needs
+    # one degree more than the chart, so 24 is refused too
     doc = parse_document(f"kind: surface\ntruncation: {truncation}\nx3: u^2\nx4: v^2\n")
-    with pytest.raises(ValueError, match=r"^two-variable jets support total degree <= 24$"):
+    with pytest.raises(GermDocumentError, match=r"^surface truncation exceeds 23$"):
         build_surface(doc)
 
 

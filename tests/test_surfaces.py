@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fractions, random_fraction, random_invertible_matrix
-from tanvar.jets import Jet2, JetDomainError, TruncationMismatch, align, equal_as_polynomials
+from tanvar import surfaces
+from tanvar.jets import (
+    InvariantError,
+    Jet2,
+    JetDomainError,
+    TruncationMismatch,
+    align,
+    equal_as_polynomials,
+)
 from tanvar.surfaces import (
     VAR_U,
     VAR_V,
@@ -16,9 +25,13 @@ from tanvar.surfaces import (
     RuledComponent,
     SajiResult,
     SajiTag,
+    Slice,
     SurfaceTangentMap,
     SymMatrix3,
     VeroneseVerdict,
+    _cross,
+    _euler_complement,
+    _partials,
     _potential,
     complete_to_legendre,
     frontal_normal,
@@ -112,6 +125,11 @@ def test_nonzero_linear_part_rejected():
     x4 = Jet2.zero(K)
     with pytest.raises(ValueError):
         complete_to_legendre(x3, x4)
+    # a constant term or either linear term, in x3 or in x4
+    for i, j in ((0, 0), (1, 0), (0, 1)):
+        for pair in ((Jet2.term(1, i, j, K), x4), (x4, Jet2.term(1, i, j, K))):
+            with pytest.raises(ValueError, match="^surface chart components need zero 1-jets$"):
+                complete_to_legendre(*pair)
 
 
 # -- ordinary point classes ----------------------------------------------------------
@@ -257,6 +275,19 @@ def test_verdict_on_pinch_normal_forms():
         )
         nu = frontal_normal(f)
         assert saji_verdict(f, normal=nu).tag is tag
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_verdict_invariant_under_permuted_components(rng, perm):
+    # permuting the components of g and nu together changes lambda = det(g_u, g_v, nu)
+    # at most in sign, which leaves the Hessian of its quadratic part unchanged
+    for quad, tag in (((2, 1, -1, 3), SajiTag.D4_PLUS), ((1, F(1, 2), -1, F(1, 3)), SajiTag.D4_MINUS)):
+        g = transversal_slice(dense_surface(quad, 8, rng))
+        nu = (Jet2.variable(0, 8), Jet2.variable(1, 8), Jet2.constant(1, 8))
+        verdict = saji_verdict(g, normal=nu)
+        assert verdict.tag is tag and verdict.hessian_determinant == h_invariant(quad)
+        moved = saji_verdict(tuple(g[i] for i in perm), normal=tuple(nu[i] for i in perm))
+        assert moved == verdict
 
 
 def test_hessian_equals_h_invariant(rng):
@@ -475,16 +506,22 @@ def test_default_annihilation_is_checked_at_the_verdict_truncation(rng):
 
 
 def test_surface_verdict_differentiates_each_jet_once(rng, monkeypatch):
-    # completion 4, slice identity 2, its reuse as the default annihilation check 2;
+    # completion 4 and the slice identity 2; the verdict trusts the identity of a
+    # Slice, and the slice reuses the completion's Euler complements A and B;
     # lambda reads the 3-jets of g, so no product of full-order jets is formed
     x3, x4 = dense_chart((2, 1, -1, 3), 22, rng)
-    derivatives, products, inside = [], [], []
+    derivatives, products, inside, complements = [], [], [], []
     derivative, product, verdict = Jet2.derivative, Jet2.__mul__, saji_verdict
+    euler_complement = surfaces._euler_complement
 
     def counted_derivative(self, var):
         if self.truncation > 3:
             derivatives.append(self.truncation)
         return derivative(self, var)
+
+    def counted_complement(x):
+        complements.append(x.truncation)
+        return euler_complement(x)
 
     def counted_product(self, other):
         if inside and isinstance(other, Jet2) and self.truncation > 3:
@@ -500,10 +537,123 @@ def test_surface_verdict_differentiates_each_jet_once(rng, monkeypatch):
 
     monkeypatch.setattr(Jet2, "derivative", counted_derivative)
     monkeypatch.setattr(Jet2, "__mul__", counted_product)
-    result = traced_verdict(transversal_slice(complete_to_legendre(x3, x4)))
+    monkeypatch.setattr(surfaces, "_euler_complement", counted_complement)
+    g = transversal_slice(complete_to_legendre(x3, x4))
+    result = traced_verdict(g)
     assert result.tag is SajiTag.D4_PLUS
-    assert len(derivatives) <= 8
+    assert len(derivatives) <= 6
+    assert complements == [22, 22, 23]
     assert products == []
+    # a plain tuple gets the slice identity again: one more derivative per variable
+    del derivatives[:]
+    assert traced_verdict(tuple(g)) == result
+    assert derivatives == [23, 23]
+
+
+def reference_transversal_slice(surface):
+    """``transversal_slice`` before the germ kept A and B, kept verbatim as the oracle."""
+    g1 = _euler_complement(surface.x3)
+    g2 = _euler_complement(surface.x4)
+    g3 = _euler_complement(surface.x5)
+    res_u, res_v = slice_frontality_residuals(g1, g2, g3)
+    if not (res_u.is_zero and res_v.is_zero):
+        raise InvariantError("slice frontality identity failed")
+    return g1, g2, g3
+
+
+def reference_saji_verdict(g, normal=None):
+    """``saji_verdict`` before it trusted a Slice, kept verbatim as the oracle."""
+    if normal is not None:
+        normal = tuple(normal)
+        if len(normal) != 3:
+            raise ValueError("the normal needs exactly three components")
+    du, dv = _partials([x.truncate(min(x.truncation, 3)) for x in g])
+    if any(x.coefficient(0, 0) != 0 for x in du + dv):
+        return SajiResult(SajiTag.INCONCLUSIVE, None, "differential at the origin has rank > 0")
+    K = min(x.truncation for x in g) - 1
+    if normal is None:
+        pairings = [r.truncate(K) for r in slice_frontality_residuals(*g)]
+        normal = (Jet2.variable(VAR_U, 2), Jet2.variable(VAR_V, 2), Jet2.constant(1, 2))
+    else:
+        K = min([K] + [x.truncation for x in normal])
+        nu = [x.truncate(K) for x in normal]
+        pairings = [
+            nu[0] * p[0].truncate(K) + nu[1] * p[1].truncate(K) + nu[2] * p[2].truncate(K)
+            for p in _partials(g)
+        ]
+    if not all(p.is_zero for p in pairings):
+        return SajiResult(SajiTag.INCONCLUSIVE, None, "normal does not annihilate dg")
+    if K < 2:
+        raise JetDomainError("truncation too small for the quadratic part")
+    du, dv, normal = ([x.truncate(2) for x in col] for col in (du, dv, normal))
+    cross = _cross(dv, normal)
+    lam = du[0] * cross[0] + du[1] * cross[1] + du[2] * cross[2]  # det(du, dv, nu)
+    q20 = lam.coefficient(2, 0)
+    q11 = lam.coefficient(1, 1)
+    q02 = lam.coefficient(0, 2)
+    hess = 4 * q20 * q02 - q11 * q11
+    if hess < 0:
+        return SajiResult(SajiTag.D4_PLUS, hess)
+    if hess > 0:
+        return SajiResult(SajiTag.D4_MINUS, hess)
+    return SajiResult(
+        SajiTag.INCONCLUSIVE, hess, "degenerate quadratic part (no verdict)"
+    )
+
+
+@st.composite
+def closed_charts(draw):
+    """(x3, x4) = dP at truncation 2 to 12: a random cubic part (degenerate ones
+    included) and a few higher terms of P."""
+    trunc = draw(st.integers(2, 12))
+    coeff = fractions(max_num=4, max_den=3)
+    terms = [(3 - j, j, draw(coeff)) for j in range(4)]
+    higher = st.tuples(st.integers(0, trunc + 1), st.integers(0, trunc + 1), coeff)
+    terms += [(i, j, c) for i, j, c in draw(st.lists(higher, max_size=8)) if i + j >= 4]
+    P = Jet2.from_terms(terms, trunc + 1)
+    return P.derivative(0), P.derivative(1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_charts(), st.sampled_from(["default", "explicit default", "frontal"]))
+def test_slice_and_verdict_match_the_former_pipeline(chart, normal_kind):
+    s = complete_to_legendre(*chart)
+    g, expected = transversal_slice(s), reference_transversal_slice(s)
+    assert type(g) is Slice and g == expected and tuple(g) == expected
+    assert (g.g1, g.g2, g.g3) == expected
+    normal = None
+    if normal_kind == "explicit default":
+        K = s.truncation
+        normal = (Jet2.variable(VAR_U, K), Jet2.variable(VAR_V, K), Jet2.constant(1, K))
+    elif normal_kind == "frontal":
+        try:
+            normal = frontal_normal(align(*g))
+        except JetDomainError:
+            pass
+    oracle = _outcome(reference_saji_verdict, expected, normal)
+    assert _outcome(saji_verdict, g, normal) == oracle
+    assert _outcome(saji_verdict, tuple(g), normal) == oracle
+    assert _outcome(saji_verdict, list(g), normal) == oracle
+
+
+@pytest.mark.parametrize("component, degree", [(0, 4), (1, 3), (2, 3), (2, 8)])
+def test_tampered_slice_as_a_plain_tuple_is_refused(rng, component, degree):
+    # truncations 8, 8, 9; a term of g1 or g2 of degree d breaks the identity in
+    # degree d (u dg1), one of g3 in degree d - 1 (dg3), below the verdict's K = 7
+    g = list(transversal_slice(dense_surface((2, 1, -1, 3), 8, rng)))
+    g[component] = g[component] + Jet2.term(1, degree - 1, 1, g[component].truncation)
+    verdict = saji_verdict(tuple(g))
+    assert (verdict.tag, verdict.reason) == (SajiTag.INCONCLUSIVE, "normal does not annihilate dg")
+    assert verdict == reference_saji_verdict(g)
+
+
+def test_surface_germ_equality_and_repr_ignore_the_complements(rng):
+    s = dense_surface((2, 1, -1, 3), 6, rng)
+    A, B = s.complements
+    assert (A, B) == (_euler_complement(s.x3), _euler_complement(s.x4))
+    other = surfaces.LegendreSurfaceGerm(s.quad, s.x3, s.x4, s.x5, (B, A))
+    assert other == s and hash(other) == hash(s) and repr(other) == repr(s)
+    assert "complements" not in repr(s)
 
 # -- tangent maps over the Darboux chart ---------------------------------------------------
 
